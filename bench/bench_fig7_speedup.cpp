@@ -52,9 +52,9 @@ int main(int argc, char** argv) {
   };
   const std::vector<std::pair<std::string, int>> prims = {
       {"BFS", 0}, {"SSSP", 1}, {"BC", 2}, {"CC", 3}, {"PR", 4}};
-  const std::vector<Fn> gunrock = {run_gunrock_bfs, run_gunrock_sssp,
-                                   run_gunrock_bc, run_gunrock_cc,
-                                   run_gunrock_pr};
+  const std::vector<Fn> gunrock = {run_engine_bfs, run_engine_sssp,
+                                   run_engine_bc, run_engine_cc,
+                                   run_engine_pr};
 
   std::cout << "=== Figure 7: Gunrock speedup vs other systems "
                "(>1 = Gunrock faster; '(*)' marks Gunrock-slower cells) "

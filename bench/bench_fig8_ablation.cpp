@@ -23,11 +23,11 @@ int main(int argc, char** argv) {
   auto run_bfs = [&](const Csr& g, AdvanceStrategy strategy, bool idempotent,
                      Direction dir) {
     simt::Device dev;
-    BfsOptions opts;
-    opts.strategy = strategy;
-    opts.idempotent = idempotent;
-    opts.direction = dir;
-    const auto r = gunrock_bfs(dev, g, src, opts);
+    QueryOptions q;
+    q.strategy = strategy;
+    q.idempotent = idempotent;
+    q.direction = dir;
+    const auto r = Engine(dev, g).bfs(src, q);
     return r.summary.device_time_ms;
   };
 

@@ -17,8 +17,6 @@
 #include "core/filter.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
-#include "primitives/batch.hpp"
-#include "primitives/bfs.hpp"
 #include "simt/primitives.hpp"
 
 namespace {
@@ -158,12 +156,11 @@ void BM_BfsPowerLaw(benchmark::State& state) {
   std::uint64_t allocs = 0, runs = 0;
   for (auto _ : state) {
     simt::Device dev;
-    BfsOptions opts;
-    opts.idempotent = true;
-    opts.direction = Direction::kOptimal;
+    QueryOptions q;
+    q.direction = Direction::kOptimal;
     const std::uint64_t before =
         g_alloc_count.load(std::memory_order_relaxed);
-    const auto r = gunrock_bfs(dev, g, 0, opts);
+    const auto r = Engine(dev, g).bfs(0, q);
     allocs += g_alloc_count.load(std::memory_order_relaxed) - before;
     ++runs;
     benchmark::DoNotOptimize(r.depth.data());
@@ -179,10 +176,7 @@ void BM_BfsPowerLawPush(benchmark::State& state) {
   const Csr& g = scale_free();
   for (auto _ : state) {
     simt::Device dev;
-    BfsOptions opts;
-    opts.idempotent = true;
-    opts.direction = Direction::kPush;
-    const auto r = gunrock_bfs(dev, g, 0, opts);
+    const auto r = Engine(dev, g).bfs(0);
     benchmark::DoNotOptimize(r.depth.data());
   }
 }

@@ -9,7 +9,7 @@
 //                      like the paper, Medusa columns use smaller inputs
 //                      ("due to Medusa's memory limitations").
 //
-// The unit caveat (wall vs simulated) is discussed in EXPERIMENTS.md; the
+// The unit caveat (wall vs simulated) is discussed in docs/benchmarks.md; the
 // paper's qualitative claim under test is "order of magnitude over BGL and
 // PowerGraph, smaller gains over Galois".
 #include <iostream>
@@ -37,23 +37,23 @@ int main(int argc, char** argv) {
     Fn medusa;
   };
   const std::vector<Row> rows = {
-      {"BFS", run_gunrock_bfs, run_serial_bfs, run_galois_bfs,
+      {"BFS", run_engine_bfs, run_serial_bfs, run_galois_bfs,
        [](const Csr& g, VertexId s) {
          return run_gas_bfs(g, s, gas::Flavor::kFrontier);
        },
        run_medusa_bfs},
-      {"SSSP", run_gunrock_sssp, run_serial_sssp, run_galois_sssp,
+      {"SSSP", run_engine_sssp, run_serial_sssp, run_galois_sssp,
        [](const Csr& g, VertexId s) {
          return run_gas_sssp(g, s, gas::Flavor::kFrontier);
        },
        run_medusa_sssp},
-      {"BC", run_gunrock_bc, run_serial_bc, run_galois_bc, nullptr, nullptr},
-      {"PageRank", run_gunrock_pr, run_serial_pr, run_galois_pr,
+      {"BC", run_engine_bc, run_serial_bc, run_galois_bc, nullptr, nullptr},
+      {"PageRank", run_engine_pr, run_serial_pr, run_galois_pr,
        [](const Csr& g, VertexId s) {
          return run_gas_pr(g, s, gas::Flavor::kFrontier);
        },
        run_medusa_pr},
-      {"CC", run_gunrock_cc, run_serial_cc, run_galois_cc,
+      {"CC", run_engine_cc, run_serial_cc, run_galois_cc,
        [](const Csr& g, VertexId s) {
          return run_gas_cc(g, s, gas::Flavor::kFrontier);
        },

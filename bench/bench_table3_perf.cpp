@@ -53,8 +53,8 @@ int main(int argc, char** argv) {
       {"Hardwired", run_hw_bfs, run_hw_sssp, run_hw_bc, run_hw_cc, nullptr},
       {"Ligra*", run_ligra_bfs, run_ligra_sssp, run_ligra_bc, run_ligra_cc,
        run_ligra_pr},
-      {"Gunrock", run_gunrock_bfs, run_gunrock_sssp, run_gunrock_bc,
-       run_gunrock_cc, run_gunrock_pr},
+      {"Gunrock", run_engine_bfs, run_engine_sssp, run_engine_bc,
+       run_engine_cc, run_engine_pr},
   };
 
   const std::vector<std::pair<std::string, int>> prims = {

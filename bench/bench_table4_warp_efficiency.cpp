@@ -23,21 +23,21 @@ int main(int argc, char** argv) {
     std::function<Cell(const Csr&, VertexId)> gunrock, mapgraph, cusha;
   };
   const std::vector<Prim> prims = {
-      {"BFS", run_gunrock_bfs,
+      {"BFS", run_engine_bfs,
        [](const Csr& g, VertexId s) {
          return run_gas_bfs(g, s, gas::Flavor::kFrontier);
        },
        [](const Csr& g, VertexId s) {
          return run_gas_bfs(g, s, gas::Flavor::kFullSweep);
        }},
-      {"SSSP", run_gunrock_sssp,
+      {"SSSP", run_engine_sssp,
        [](const Csr& g, VertexId s) {
          return run_gas_sssp(g, s, gas::Flavor::kFrontier);
        },
        [](const Csr& g, VertexId s) {
          return run_gas_sssp(g, s, gas::Flavor::kFullSweep);
        }},
-      {"PageRank", run_gunrock_pr,
+      {"PageRank", run_engine_pr,
        [](const Csr& g, VertexId s) {
          return run_gas_pr(g, s, gas::Flavor::kFrontier);
        },

@@ -1,6 +1,6 @@
 #include "api/engine.hpp"
 
-#include "primitives/batch.hpp"  // batch_scale_delta
+#include "util/rng.hpp"
 
 namespace grx {
 
@@ -212,8 +212,16 @@ void Engine::bc_batched(std::span<const VertexId> sources,
   EnactScope scope(*this);
   batch_.set_cancel(opts.cancel);
   bc_.set_cancel(opts.cancel);
-  bc_accumulate_batched(batch_, bc_, *g_, sources, opts.to_bc(), bc_fwd_,
-                        out);
+  out.assign(g_->num_vertices(), 0.0);
+  if (sources.empty()) return;
+  // Lane-packed forward pass, then one backward sweep per source folded
+  // into `out`; only the advance strategy carries over to the batch.
+  BatchOptions fwd_opts;
+  fwd_opts.strategy = opts.strategy;
+  batch_.bc_forward(*g_, sources, fwd_opts, bc_fwd_);
+  const BcOptions bc_opts = opts.to_bc();
+  for (std::uint32_t q = 0; q < bc_fwd_.num_lanes; ++q)
+    bc_.backward_accumulate(*g_, bc_fwd_, q, sources[q], bc_opts, out);
 }
 std::vector<double> Engine::bc_batched(std::span<const VertexId> sources,
                                        const QueryOptions& opts) {
@@ -226,8 +234,15 @@ void Engine::bc_sampled(std::uint32_t num_sources, std::uint64_t seed,
                         std::vector<double>& out, const QueryOptions& opts) {
   EnactScope scope(*this);
   bc_.set_cancel(opts.cancel);
-  bc_accumulate_sampled(bc_, *g_, num_sources, seed, opts.to_bc(), bc_tmp_,
-                        out);
+  out.assign(g_->num_vertices(), 0.0);
+  const BcOptions bc_opts = opts.to_bc();
+  Rng rng(seed);
+  for (std::uint32_t s = 0; s < num_sources; ++s) {
+    const auto src = static_cast<VertexId>(rng.next_below(g_->num_vertices()));
+    bc_.enact(*g_, src, bc_opts, bc_tmp_);
+    for (VertexId v = 0; v < g_->num_vertices(); ++v)
+      out[v] += bc_tmp_.bc_values[v];
+  }
 }
 std::vector<double> Engine::bc_sampled(std::uint32_t num_sources,
                                        std::uint64_t seed,

@@ -20,11 +20,10 @@
 // heap allocations once warm, and by-value (`auto r = engine.bfs(src)`),
 // which allocates only the returned result buffers. All single-source and
 // batched queries share one QueryOptions surface and report the same
-// EnactSummary. The legacy gunrock_* free functions are one-shot wrappers
-// over a temporary Engine-equivalent enactor and remain supported.
+// EnactSummary. Engine is the one public query entry point: a one-shot
+// query is a temporary engine, `Engine(dev, g).bfs(src)`.
 //
-// Contract details and migration notes from the free functions:
-// docs/api.md.
+// Contract details: docs/api.md.
 #pragma once
 
 #include <atomic>

@@ -179,7 +179,7 @@ struct BatchReachabilityResult {
 
 /// Forward (Brandes sigma-accumulation) pass of betweenness centrality for
 /// B sources at once; feeds the per-source backward sweeps of
-/// gunrock_bc_batched (primitives/bc.hpp).
+/// Engine::bc_batched (api/engine.hpp).
 struct BatchBcForwardResult {
   std::uint32_t num_lanes = 0;
   /// Resolved lane-kernel backend this enact ran (observability only).
@@ -291,5 +291,15 @@ class BatchEnactor : public EnactorBase {
   std::vector<std::uint64_t> relax_pairs_;  ///< per-thread relax tallies
   std::vector<std::uint64_t> pull_live_;  ///< pull skip bitmap (|V| bits)
 };
+
+/// Scales the single-query auto-delta (`sssp_auto_delta`) for a B-wide
+/// batch, applying the small-graph gate: 0 (schedule off) below 4096
+/// vertices or when the heuristic itself declines, else the per-lane
+/// band width the batched near/far schedule uses. Exposed so callers that
+/// cache the heuristic's inputs (Engine's per-graph delta cache) resolve
+/// the exact delta the enactor would — the two must never diverge, or a
+/// rebind would silently change schedules.
+std::uint32_t batch_scale_delta(std::uint32_t auto_delta,
+                                VertexId num_vertices, std::uint32_t b);
 
 }  // namespace grx

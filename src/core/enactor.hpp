@@ -96,6 +96,10 @@ class EnactorBase {
   void begin_enact() {
     dev_.reset();
     log_.clear();
+    // Round counts of racy primitives (CC hooking) vary with host
+    // thread count; a log sized for the common case keeps a warm enactor
+    // from reallocating whenever a run is one round longer than before.
+    if (log_.capacity() < kLogReserve) log_.reserve(kLogReserve);
     advance_ws_.begin_enact();
     filter_ws_.new_generation();
   }
@@ -116,6 +120,8 @@ class EnactorBase {
     out.counters = dev_.counters();
     out.device_time_ms = out.counters.time_ms();
     out.host_wall_ms = wall_ms;
+    if (out.per_iteration.capacity() < log_.capacity())
+      out.per_iteration.reserve(log_.capacity());
     out.per_iteration.assign(log_.begin(), log_.end());
     log_.clear();
   }
@@ -130,6 +136,7 @@ class EnactorBase {
   AdvanceWorkspace advance_ws_;
   FilterWorkspace filter_ws_;
   std::vector<IterationStats> log_;
+  static constexpr std::size_t kLogReserve = 64;
 };
 
 }  // namespace grx

@@ -1,6 +1,6 @@
 #include "core/sample.hpp"
 
-#include "util/per_thread.hpp"
+#include "simt/primitives.hpp"
 
 namespace grx {
 
@@ -17,9 +17,17 @@ void frontier_sample(simt::Device& dev, const Frontier& in, Frontier& out,
       cfg.fraction >= 1.0
           ? ~std::uint64_t{0}
           : static_cast<std::uint64_t>(cfg.fraction * 0x1p64);
-  PerThread<std::vector<std::uint32_t>> kept;
+  // Two-phase assembly as in filter_vertices: each warp stages its
+  // survivors compactly, a scan places them — input order is preserved
+  // whatever thread ran which warp.
+  constexpr std::size_t kWarp = simt::CostModel::kWarpSize;
+  const std::size_t num_warps = (in.size() + kWarp - 1) / kWarp;
+  simt::ChunkedOutput staged;
+  staged.begin(num_warps, num_warps * kWarp);
   dev.for_each("frontier_sample", in.size(),
                [&](simt::Lane& lane, std::size_t i) {
+                 const std::size_t warp = i / kWarp;
+                 if (i % kWarp == 0) staged.counts[warp] = 0;
                  lane.load_coalesced();
                  lane.alu(3);  // counter-based hash
                  const std::uint32_t v = in.items()[i];
@@ -27,11 +35,13 @@ void frontier_sample(simt::Device& dev, const Frontier& in, Frontier& out,
                  // stateless, so lanes are independent and reproducible.
                  Rng h(cfg.seed ^ (static_cast<std::uint64_t>(cfg.round) << 32
                                    ) ^ v);
-                 if (h.next_u64() <= threshold) kept.local().push_back(v);
+                 if (h.next_u64() <= threshold)
+                   staged.scratch[warp * kWarp + staged.counts[warp]++] = v;
                });
-  dev.charge_pass("sample_compact", in.size(),
-                  3 * simt::CostModel::kCoalesced, /*fused=*/true);
-  kept.drain_into(out.items());
+  simt::scatter_into(dev, staged, num_warps, out.items(),
+                     [](std::size_t c) { return c * kWarp; });
+  dev.charge_pass("sample_compact", in.size(), simt::CostModel::kCoalesced,
+                  /*fused=*/true);
 
   // Guarantee progress: a nonempty frontier never samples below min_keep;
   // fall back to a deterministic prefix in that (rare) case.

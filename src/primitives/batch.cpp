@@ -25,7 +25,7 @@
 // results are independent of edge visit order and host thread count; the
 // two-phase assembler keeps the frontier *assembly* deterministic exactly
 // as in the single-query pipeline.
-#include "primitives/batch.hpp"
+#include "core/batch_enactor.hpp"
 
 #include <omp.h>
 
@@ -878,32 +878,6 @@ void BatchEnactor::bc_forward(const Csr& g,
   }
 
   finish_into(res.summary, edges, wall.elapsed_ms());
-}
-
-// --- free-function entry points ---------------------------------------------
-
-BatchBfsResult batch_bfs(simt::Device& dev, const Csr& g,
-                         std::span<const VertexId> sources,
-                         const BatchOptions& opts) {
-  return BatchEnactor(dev).bfs(g, sources, opts);
-}
-
-BatchSsspResult batch_sssp(simt::Device& dev, const Csr& g,
-                           std::span<const VertexId> sources,
-                           const BatchOptions& opts) {
-  return BatchEnactor(dev).sssp(g, sources, opts);
-}
-
-BatchReachabilityResult batch_reachability(simt::Device& dev, const Csr& g,
-                                           std::span<const VertexId> sources,
-                                           const BatchOptions& opts) {
-  return BatchEnactor(dev).reachability(g, sources, opts);
-}
-
-BatchBcForwardResult batch_bc_forward(simt::Device& dev, const Csr& g,
-                                      std::span<const VertexId> sources,
-                                      const BatchOptions& opts) {
-  return BatchEnactor(dev).bc_forward(g, sources, opts);
 }
 
 }  // namespace grx

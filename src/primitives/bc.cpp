@@ -3,8 +3,7 @@
 #include "core/compute.hpp"
 #include "core/filter.hpp"
 #include "core/program.hpp"
-#include "primitives/batch.hpp"
-#include "util/rng.hpp"
+#include "core/batch_enactor.hpp"
 #include "util/timer.hpp"
 
 namespace grx {
@@ -173,62 +172,6 @@ void BcEnactor::backward_accumulate(const Csr& g,
       if (v != source) acc[v] += prob.delta[v];
     });
   }
-}
-
-BcResult gunrock_bc(simt::Device& dev, const Csr& g, VertexId source,
-                    const BcOptions& opts) {
-  BcResult out;
-  BcEnactor(dev).enact(g, source, opts, out);
-  return out;
-}
-
-void bc_accumulate_batched(BatchEnactor& batch, BcEnactor& back,
-                           const Csr& g, std::span<const VertexId> sources,
-                           const BcOptions& opts, BatchBcForwardResult& fwd,
-                           std::vector<double>& out) {
-  out.assign(g.num_vertices(), 0.0);
-  if (sources.empty()) return;
-  BatchOptions bopts;
-  bopts.strategy = opts.strategy;
-  batch.bc_forward(g, sources, bopts, fwd);
-  for (std::uint32_t q = 0; q < fwd.num_lanes; ++q)
-    back.backward_accumulate(g, fwd, q, sources[q], opts, out);
-}
-
-void bc_accumulate_sampled(BcEnactor& bc, const Csr& g,
-                           std::uint32_t num_sources, std::uint64_t seed,
-                           const BcOptions& opts, BcResult& scratch,
-                           std::vector<double>& out) {
-  out.assign(g.num_vertices(), 0.0);
-  Rng rng(seed);
-  for (std::uint32_t s = 0; s < num_sources; ++s) {
-    const auto src = static_cast<VertexId>(rng.next_below(g.num_vertices()));
-    bc.enact(g, src, opts, scratch);
-    for (VertexId v = 0; v < g.num_vertices(); ++v)
-      out[v] += scratch.bc_values[v];
-  }
-}
-
-std::vector<double> gunrock_bc_batched(simt::Device& dev, const Csr& g,
-                                       std::span<const VertexId> sources,
-                                       const BcOptions& opts) {
-  std::vector<double> acc;
-  BatchEnactor batch(dev);
-  BcEnactor back(dev);  // one enactor: workspaces pool across lanes
-  BatchBcForwardResult fwd;
-  bc_accumulate_batched(batch, back, g, sources, opts, fwd, acc);
-  return acc;
-}
-
-std::vector<double> gunrock_bc_sampled(simt::Device& dev, const Csr& g,
-                                       std::uint32_t num_sources,
-                                       std::uint64_t seed,
-                                       const BcOptions& opts) {
-  std::vector<double> acc;
-  BcEnactor bc(dev);  // one enactor: problem pools across samples
-  BcResult scratch;
-  bc_accumulate_sampled(bc, g, num_sources, seed, opts, scratch, acc);
-  return acc;
 }
 
 }  // namespace grx

@@ -4,8 +4,6 @@
 // (delta) — both expressed as Gunrock advance steps with fused compute.
 #pragma once
 
-#include <span>
-
 #include "core/advance.hpp"
 #include "core/enactor.hpp"
 #include "graph/csr.hpp"
@@ -14,7 +12,6 @@
 namespace grx {
 
 struct BatchBcForwardResult;  // core/batch_enactor.hpp
-class BatchEnactor;
 
 struct BcOptions {
   AdvanceStrategy strategy = AdvanceStrategy::kAuto;
@@ -70,46 +67,5 @@ class BcEnactor : public EnactorBase {
   std::vector<std::vector<std::uint32_t>> bwd_levels_;
   Frontier bwd_level_{FrontierKind::kVertex};
 };
-
-/// Single-source BC contribution from `source` (Brandes accumulation);
-/// one-shot wrapper over a temporary BcEnactor.
-BcResult gunrock_bc(simt::Device& dev, const Csr& g, VertexId source,
-                    const BcOptions& opts = {});
-
-// Shared implementations of the composite BC workloads, parameterized on
-// caller-owned enactors and scratch so both the one-shot gunrock_*
-// wrappers and the pooled grx::Engine paths run the exact same code
-// (results stay identical by construction). `out` is assigned in place.
-
-/// Source-batched accumulation: lane-packed forward pass into `fwd`, then
-/// per-source backward sweeps folded into `out`.
-void bc_accumulate_batched(BatchEnactor& batch, BcEnactor& back,
-                           const Csr& g, std::span<const VertexId> sources,
-                           const BcOptions& opts, BatchBcForwardResult& fwd,
-                           std::vector<double>& out);
-
-/// Sampled accumulation over `num_sources` deterministic sources drawn
-/// from `seed`; `scratch` holds the per-source result between folds.
-void bc_accumulate_sampled(BcEnactor& bc, const Csr& g,
-                           std::uint32_t num_sources, std::uint64_t seed,
-                           const BcOptions& opts, BcResult& scratch,
-                           std::vector<double>& out);
-
-/// Accumulated BC over `num_sources` deterministic sample sources — the
-/// usual approximate-BC workload; used by the social_influence example.
-std::vector<double> gunrock_bc_sampled(simt::Device& dev, const Csr& g,
-                                       std::uint32_t num_sources,
-                                       std::uint64_t seed,
-                                       const BcOptions& opts = {});
-
-/// Source-batched accumulated BC: one lane-packed forward pass
-/// (BatchEnactor::bc_forward) computes depth + sigma for all `sources` at
-/// once, then per-source backward sweeps accumulate dependencies. Same
-/// result as summing gunrock_bc over the sources (up to floating-point
-/// association in the backward deltas), with the forward half amortized
-/// across the batch.
-std::vector<double> gunrock_bc_batched(simt::Device& dev, const Csr& g,
-                                       std::span<const VertexId> sources,
-                                       const BcOptions& opts = {});
 
 }  // namespace grx

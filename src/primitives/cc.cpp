@@ -72,6 +72,12 @@ struct CcProgram {
     std::iota(p.comp.begin(), p.comp.end(), VertexId{0});
     edge_frontier.resize(p.edge_src.size());
     std::iota(edge_frontier.begin(), edge_frontier.end(), 0u);
+    // The double buffers swap once per round, and the round count varies
+    // with host thread count: size both halves of each pair up front so
+    // either can take the full frontier without reallocating.
+    next_edges.reserve(p.edge_src.size());
+    vf.reserve(g.num_vertices());
+    nvf.reserve(g.num_vertices());
     done = false;
     jump_work = 0;
   }
@@ -113,12 +119,6 @@ void CcEnactor::enact(const Csr& g, CcResult& out) {
   for (VertexId v = 0; v < g.num_vertices(); ++v)
     if (out.component[v] == v) out.num_components++;
   finish_into(out.summary, hook_work + prog.jump_work, wall.elapsed_ms());
-}
-
-CcResult gunrock_cc(simt::Device& dev, const Csr& g) {
-  CcResult out;
-  CcEnactor(dev).enact(g, out);
-  return out;
 }
 
 }  // namespace grx

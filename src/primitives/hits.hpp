@@ -35,6 +35,8 @@ class HitsEnactor : public EnactorBase {
  public:
   using EnactorBase::EnactorBase;
 
+  /// Runs HITS on `g` (directed or undirected CSR; `gT` must be the
+  /// transpose — pass the same graph for undirected inputs).
   void enact(const Csr& g, const Csr& gT, const HitsOptions& opts,
              HitsResult& out);
 
@@ -42,11 +44,5 @@ class HitsEnactor : public EnactorBase {
   HitsProblem problem_;
   std::vector<double> scratch_;  // gather-reduce staging, pooled
 };
-
-/// Runs HITS on `g` (directed or undirected CSR; `gT` must be the
-/// transpose — pass the same graph for undirected inputs). One-shot
-/// wrapper over a temporary HitsEnactor.
-HitsResult gunrock_hits(simt::Device& dev, const Csr& g, const Csr& gT,
-                        const HitsOptions& opts = {});
 
 }  // namespace grx

@@ -104,11 +104,4 @@ void PrEnactor::enact(const Csr& g, const PagerankOptions& opts,
   out.rank = problem_.rank;
 }
 
-PagerankResult gunrock_pagerank(simt::Device& dev, const Csr& g,
-                                const PagerankOptions& opts) {
-  PagerankResult out;
-  PrEnactor(dev).enact(g, opts, out);
-  return out;
-}
-
 }  // namespace grx

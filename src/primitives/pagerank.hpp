@@ -52,8 +52,4 @@ class PrEnactor : public EnactorBase {
   PrProblem problem_;
 };
 
-/// One-shot wrapper over a temporary PrEnactor.
-PagerankResult gunrock_pagerank(simt::Device& dev, const Csr& g,
-                                const PagerankOptions& opts = {});
-
 }  // namespace grx

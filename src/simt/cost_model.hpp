@@ -22,9 +22,9 @@
 // throughput-bound). Launch overhead is added per kernel.
 //
 // The constants below are derived from the K40c: 15 SMX, 4 warp schedulers
-// per SMX, 745 MHz, ~288 GB/s DRAM. They set the absolute scale only;
-// EXPERIMENTS.md compares *shapes* (ratios, crossovers), which are invariant
-// to uniform rescaling.
+// per SMX, 745 MHz, ~288 GB/s DRAM. They set the absolute scale only; the
+// paper-table benches compare *shapes* (ratios, crossovers), which are
+// invariant to uniform rescaling.
 #pragma once
 
 #include <cstdint>

@@ -4,7 +4,7 @@
 // the host, while the device model charges cycles per warp-step exactly as a
 // lockstep SIMD machine would: a warp-step costs the maximum over its lanes,
 // idle lanes burn their slots, kernel launches pay fixed overhead. See
-// cost_model.hpp for the rationale and EXPERIMENTS.md for validation.
+// cost_model.hpp for the rationale.
 #pragma once
 
 #include <algorithm>

@@ -34,11 +34,11 @@
 #include <vector>
 
 #include "api/server.hpp"
+#include "api/engine.hpp"
 #include "baselines/serial/serial.hpp"
 #include "core/epoch.hpp"
 #include "graph/dynamic.hpp"
 #include "graph/generators.hpp"
-#include "primitives/batch.hpp"
 #include "test_common.hpp"
 #include "util/rng.hpp"
 
@@ -419,13 +419,13 @@ TEST(EngineRebind, AutoDeltaRecomputedAfterRebind) {
   const std::uint32_t d_small = eng.batch_sssp(src_small).delta;
   {
     simt::Device fresh;
-    EXPECT_EQ(d_small, batch_sssp(fresh, small, src_small).delta);
+    EXPECT_EQ(d_small, Engine(fresh, small).batch_sssp(src_small).delta);
   }
   eng.rebind(big);
   const std::uint32_t d_big = eng.batch_sssp(src_big).delta;
   {
     simt::Device fresh;
-    EXPECT_EQ(d_big, batch_sssp(fresh, big, src_big).delta);
+    EXPECT_EQ(d_big, Engine(fresh, big).batch_sssp(src_big).delta);
   }
   // The shapes genuinely disagree, so serving the stale delta would show.
   EXPECT_NE(d_small, d_big);

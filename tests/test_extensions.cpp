@@ -2,14 +2,14 @@
 // neighbor_reduce (gather-reduce), frontier sampling, HITS, and MIS.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
+#include "api/engine.hpp"
 #include "core/neighbor_reduce.hpp"
 #include "core/sample.hpp"
 #include "graph/datasets.hpp"
-#include "primitives/hits.hpp"
-#include "primitives/mis.hpp"
 #include "test_common.hpp"
 
 namespace grx {
@@ -94,8 +94,9 @@ TEST(Sample, DeterministicAndApproximatelySized) {
   frontier_sample(dev, in, b, cfg);
   EXPECT_EQ(a.items(), b.items());  // reproducible
   EXPECT_NEAR(static_cast<double>(a.size()), 2500.0, 250.0);
-  // Survivors are a subset of the input.
+  // Survivors are a subset of the input, in input order.
   for (std::uint32_t v : a.items()) EXPECT_LT(v, 10000u);
+  EXPECT_TRUE(std::is_sorted(a.items().begin(), a.items().end()));
 }
 
 TEST(Sample, DifferentRoundsDiffer) {
@@ -140,7 +141,7 @@ TEST(Hits, StarGraphHubAuthority) {
   const Csr g = build_csr(el);
   const Csr gT = transpose(g);
   simt::Device dev;
-  const HitsResult r = gunrock_hits(dev, g, gT);
+  const HitsResult r = Engine(dev, g, gT).hits();
   EXPECT_NEAR(r.hub[0], 1.0, 1e-9);
   for (VertexId v = 1; v < 8; ++v) {
     EXPECT_NEAR(r.hub[v], 0.0, 1e-9);
@@ -153,7 +154,7 @@ TEST(Hits, UndirectedScoresCoincideWithEigenvector) {
   // On an undirected graph hub == authority; scores are L2-normalized.
   const Csr g = build_dataset("hollywood-s", /*shrink=*/6);
   simt::Device dev;
-  const HitsResult r = gunrock_hits(dev, g, g);
+  const HitsResult r = Engine(dev, g).hits();
   double ss_h = 0.0, ss_a = 0.0;
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     ss_h += r.hub[v] * r.hub[v];
@@ -174,7 +175,7 @@ TEST(Hits, BipartiteRanking) {
   const Csr g = build_csr(el);
   const Csr gT = transpose(g);
   simt::Device dev;
-  const HitsResult r = gunrock_hits(dev, g, gT);
+  const HitsResult r = Engine(dev, g, gT).hits();
   EXPECT_GT(r.authority[2], r.authority[3]);
   EXPECT_GT(r.authority[2], r.authority[4]);
   EXPECT_GT(r.hub[0], 0.0);
@@ -186,7 +187,7 @@ class MisDatasetTest : public ::testing::TestWithParam<std::string> {};
 TEST_P(MisDatasetTest, IndependentAndMaximal) {
   const Csr g = build_dataset(GetParam(), /*shrink=*/5);
   simt::Device dev;
-  const MisResult r = gunrock_mis(dev, g);
+  const MisResult r = Engine(dev, g).mis();
   // Independence: no edge joins two set members.
   for (VertexId v = 0; v < g.num_vertices(); ++v)
     if (r.in_set[v])
@@ -217,7 +218,7 @@ TEST(Mis, IsolatedVerticesAlwaysJoin) {
   el.edges = {{0, 1, 1}};
   const Csr g = testing::undirected(el);
   simt::Device dev;
-  const MisResult r = gunrock_mis(dev, g);
+  const MisResult r = Engine(dev, g).mis();
   for (VertexId v = 2; v < 6; ++v) EXPECT_TRUE(r.in_set[v]);
   EXPECT_EQ(r.in_set[0] + r.in_set[1], 1);
 }
@@ -225,14 +226,14 @@ TEST(Mis, IsolatedVerticesAlwaysJoin) {
 TEST(Mis, CompleteGraphPicksExactlyOne) {
   const Csr g = testing::undirected(complete_graph(32));
   simt::Device dev;
-  const MisResult r = gunrock_mis(dev, g);
+  const MisResult r = Engine(dev, g).mis();
   EXPECT_EQ(r.set_size, 1u);
 }
 
 TEST(Mis, ConvergesInLogarithmicRounds) {
   const Csr g = build_dataset("soc-orkut-s", /*shrink=*/4);
   simt::Device dev;
-  const MisResult r = gunrock_mis(dev, g);
+  const MisResult r = Engine(dev, g).mis();
   // Luby: O(log n) rounds w.h.p.; allow generous slack.
   EXPECT_LT(r.summary.iterations, 40u);
 }
@@ -240,8 +241,10 @@ TEST(Mis, ConvergesInLogarithmicRounds) {
 TEST(Mis, DeterministicForFixedSeed) {
   const Csr g = testing::random_graph(512, 2048, 12);
   simt::Device dev;
-  const MisResult a = gunrock_mis(dev, g, 42);
-  const MisResult b = gunrock_mis(dev, g, 42);
+  QueryOptions q;
+  q.seed = 42;
+  const MisResult a = Engine(dev, g).mis(q);
+  const MisResult b = Engine(dev, g).mis(q);
   EXPECT_EQ(a.in_set, b.in_set);
 }
 

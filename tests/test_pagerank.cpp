@@ -2,9 +2,9 @@
 
 #include <numeric>
 
+#include "api/engine.hpp"
 #include "baselines/serial/serial.hpp"
 #include "graph/datasets.hpp"
-#include "primitives/pagerank.hpp"
 #include "test_common.hpp"
 
 namespace grx {
@@ -20,10 +20,10 @@ TEST_P(PrDatasetTest, MatchesPowerIteration) {
   const Csr g = build_dataset(GetParam(), /*shrink=*/5);
   const auto oracle = serial::pagerank(g, 0.85, 20);
   simt::Device dev;
-  PagerankOptions opts;
+  QueryOptions opts;
   opts.epsilon = 0.0;  // no frontier pruning: exact match to the oracle
   opts.max_iterations = 20;
-  const PagerankResult r = gunrock_pagerank(dev, g, opts);
+  const PagerankResult r = Engine(dev, g).pagerank(opts);
   EXPECT_TRUE(testing::near_vectors(r.rank, oracle, 1e-10));
 }
 
@@ -40,9 +40,9 @@ INSTANTIATE_TEST_SUITE_P(Datasets, PrDatasetTest,
 TEST(Pagerank, SumsToOne) {
   const Csr g = build_dataset("hollywood-s", /*shrink=*/5);
   simt::Device dev;
-  PagerankOptions opts;
+  QueryOptions opts;
   opts.epsilon = 0.0;
-  const PagerankResult r = gunrock_pagerank(dev, g, opts);
+  const PagerankResult r = Engine(dev, g).pagerank(opts);
   EXPECT_NEAR(sum(r.rank), 1.0, 1e-9);
 }
 
@@ -53,10 +53,10 @@ TEST(Pagerank, StarGraphClosedForm) {
   const std::uint32_t n = 11;
   const Csr g = testing::undirected(star_graph(n));
   simt::Device dev;
-  PagerankOptions opts;
+  QueryOptions opts;
   opts.epsilon = 0.0;
   opts.max_iterations = 200;
-  const PagerankResult r = gunrock_pagerank(dev, g, opts);
+  const PagerankResult r = Engine(dev, g).pagerank(opts);
   const double d = opts.damping;
   // Fixed point: center = (1-d)/n + d * (sum of leaves), each leaf
   // = (1-d)/n + d * center/(n-1).
@@ -76,9 +76,9 @@ TEST(Pagerank, UniformOnRegularGraph) {
   // On a cycle (2-regular), PageRank is exactly uniform.
   const Csr g = testing::undirected(cycle_graph(64));
   simt::Device dev;
-  PagerankOptions opts;
+  QueryOptions opts;
   opts.epsilon = 0.0;
-  const PagerankResult r = gunrock_pagerank(dev, g, opts);
+  const PagerankResult r = Engine(dev, g).pagerank(opts);
   for (VertexId v = 0; v < 64; ++v) EXPECT_NEAR(r.rank[v], 1.0 / 64, 1e-12);
 }
 
@@ -89,9 +89,9 @@ TEST(Pagerank, DanglingMassRedistributed) {
   el.edges = {{0, 1, 1}, {1, 2, 1}};
   const Csr g = testing::undirected(el);
   simt::Device dev;
-  PagerankOptions opts;
+  QueryOptions opts;
   opts.epsilon = 0.0;
-  const PagerankResult r = gunrock_pagerank(dev, g, opts);
+  const PagerankResult r = Engine(dev, g).pagerank(opts);
   EXPECT_NEAR(sum(r.rank), 1.0, 1e-9);
   const auto oracle = serial::pagerank(g, 0.85, 50);
   EXPECT_TRUE(testing::near_vectors(r.rank, oracle, 1e-10));
@@ -100,10 +100,10 @@ TEST(Pagerank, DanglingMassRedistributed) {
 TEST(Pagerank, ConvergencePruningShrinksFrontier) {
   const Csr g = build_dataset("rgg-s", /*shrink=*/5);
   simt::Device dev;
-  PagerankOptions opts;
+  QueryOptions opts;
   opts.epsilon = 1e-3;  // aggressive pruning
   opts.max_iterations = 50;
-  const PagerankResult r = gunrock_pagerank(dev, g, opts);
+  const PagerankResult r = Engine(dev, g).pagerank(opts);
   ASSERT_GE(r.summary.per_iteration.size(), 2u);
   const auto& last = r.summary.per_iteration.back();
   const auto& first = r.summary.per_iteration.front();
@@ -114,9 +114,9 @@ TEST(Pagerank, PrunedStillCloseToExact) {
   const Csr g = build_dataset("soc-orkut-s", /*shrink=*/6);
   const auto oracle = serial::pagerank(g, 0.85, 50);
   simt::Device dev;
-  PagerankOptions opts;
+  QueryOptions opts;
   opts.epsilon = 1e-9;
-  const PagerankResult r = gunrock_pagerank(dev, g, opts);
+  const PagerankResult r = Engine(dev, g).pagerank(opts);
   double l1 = 0.0;
   for (std::size_t v = 0; v < oracle.size(); ++v)
     l1 += std::abs(oracle[v] - r.rank[v]);
@@ -127,9 +127,9 @@ TEST(Pagerank, HigherDegreeGetsMoreRankOnChain) {
   // On a path, interior vertices (degree 2) outrank endpoints (degree 1).
   const Csr g = testing::undirected(path_graph(8));
   simt::Device dev;
-  PagerankOptions opts;
+  QueryOptions opts;
   opts.epsilon = 0.0;
-  const PagerankResult r = gunrock_pagerank(dev, g, opts);
+  const PagerankResult r = Engine(dev, g).pagerank(opts);
   EXPECT_GT(r.rank[3], r.rank[0]);
   EXPECT_GT(r.rank[4], r.rank[7]);
 }

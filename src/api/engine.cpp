@@ -68,8 +68,9 @@ CcResult Engine::cc(const QueryOptions& opts) {
 
 void Engine::pagerank(PagerankResult& out, const QueryOptions& opts) {
   EnactScope scope(*this);
+  require_transpose();
   pr_.set_cancel(opts.cancel);
-  pr_.enact(*g_, opts.to_pagerank(), out);
+  pr_.enact(*g_, *gT_, opts.to_pagerank(), out);
 }
 PagerankResult Engine::pagerank(const QueryOptions& opts) {
   PagerankResult out;
@@ -113,8 +114,8 @@ MstResult Engine::mst(const QueryOptions& opts) {
 void Engine::require_transpose() {
   if (transpose_explicit_ || symmetry_verified_) return;
   GRX_CHECK_MSG(is_symmetric(*g_),
-                "Engine::hits/salsa on a directed graph requires the "
-                "transpose constructor Engine(dev, g, transpose)");
+                "Engine::pagerank/hits/salsa on a directed graph requires "
+                "the transpose constructor Engine(dev, g, transpose)");
   symmetry_verified_ = true;
 }
 

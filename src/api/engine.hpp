@@ -50,17 +50,17 @@ namespace grx {
 class Engine {
  public:
   /// Binds the engine to `dev` and `g` (both captured by reference and
-  /// must outlive the engine). HITS/SALSA treat `g` as its own transpose —
-  /// valid only for symmetric (undirected) graphs, which the first such
-  /// query verifies once (GRX_CHECK; O(E log E), cached). Directed graphs
-  /// must use the transpose-supplying constructor.
+  /// must outlive the engine). PageRank/HITS/SALSA treat `g` as its own
+  /// transpose — valid only for symmetric (undirected) graphs, which the
+  /// first such query verifies once (GRX_CHECK; O(E), cached). Directed
+  /// graphs must use the transpose-supplying constructor.
   Engine(simt::Device& dev, const Csr& g)
       : Engine(dev, g, g) {
     transpose_explicit_ = false;
   }
 
-  /// As above with an explicit transpose for the bipartite ranking
-  /// primitives (HITS/SALSA gather over reverse edges).
+  /// As above with an explicit transpose for the gather primitives
+  /// (PageRank/HITS/SALSA gather over reverse edges).
   Engine(simt::Device& dev, const Csr& g, const Csr& transpose)
       : dev_(&dev),
         g_(&g),
@@ -88,11 +88,13 @@ class Engine {
   /// a server worker points its pooled engine at a newer DynamicGraph
   /// snapshot without rebuilding enactors. Pooled state is retained
   /// (buffers re-size per enact, so only a grown edge count allocates);
-  /// the symmetry cache resets, and HITS/SALSA again treat the graph as
-  /// its own transpose until rebind(g, transpose) supplies one. Requires
-  /// no query in flight (throws CheckError otherwise). The new graph is
-  /// captured by reference and must stay alive across subsequent queries
-  /// — for snapshots, hold the SnapshotView for the duration.
+  /// the symmetry cache resets, and PageRank/HITS/SALSA again treat the
+  /// graph as its own transpose until rebind(g, transpose) supplies one
+  /// (a graph known to be symmetric can pass itself: rebind(g, g) skips
+  /// the re-check). Requires no query in flight (throws CheckError
+  /// otherwise). The new graph is captured by reference and must stay
+  /// alive across subsequent queries — for snapshots, hold the
+  /// SnapshotView for the duration.
   void rebind(const Csr& g) {
     rebind(g, g);
     transpose_explicit_ = false;
@@ -197,9 +199,10 @@ class Engine {
                                  const QueryOptions& opts = {});
 
  private:
-  /// Guards hits()/salsa() under the single-graph constructor: a directed
-  /// graph used as its own transpose would silently produce wrong scores,
-  /// so the first such query checks structural symmetry once.
+  /// Guards pagerank()/hits()/salsa() under the single-graph constructor:
+  /// a directed graph used as its own transpose would silently produce
+  /// wrong scores, so the first such query checks structural symmetry
+  /// once.
   void require_transpose();
 
   /// Cached sssp_auto_delta for the bound graph, keyed by its

@@ -110,7 +110,6 @@ struct QueryOptions {
 
   PagerankOptions to_pagerank() const {
     PagerankOptions o;
-    o.strategy = strategy;
     o.damping = damping;
     o.epsilon = epsilon;
     o.max_iterations = max_iterations;

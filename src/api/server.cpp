@@ -120,7 +120,10 @@ struct Server::Worker {
 
   /// Fresh device + engine. After an exception escaped an enact the old
   /// engine's pooled problem state is mid-enact garbage with no invariants
-  /// to salvage; a respawned worker starts from a clean world.
+  /// to salvage; a respawned worker starts from a clean world. The engine
+  /// always binds the graph as its own transpose: PageRank, the only kind
+  /// that reads the transpose, is admitted at submit only on a symmetric
+  /// graph, so workers never re-check symmetry.
   void rebuild(Server& srv) {
     engine.reset();
     dev = std::make_unique<simt::Device>();
@@ -132,9 +135,9 @@ struct Server::Worker {
       // NOT moved, the bound snapshot is still the head and thus alive.
       SnapshotView v = srv.dyn_->snapshot();
       bound_epoch = v.epoch();
-      engine = std::make_unique<Engine>(*dev, v.csr());
+      engine = std::make_unique<Engine>(*dev, v.csr(), v.csr());
     } else {
-      engine = std::make_unique<Engine>(*dev, *srv.g_);
+      engine = std::make_unique<Engine>(*dev, *srv.g_, *srv.g_);
     }
   }
 
@@ -188,6 +191,7 @@ Server::Server(DynamicGraph& g, const ServerOptions& opts) : opts_(opts) {
   dyn_ = &g;
   n_ = g.num_vertices();
   weighted_ = true;  // snapshots always materialize weights
+  symmetric_ = g.options().symmetric;
   start();
 }
 
@@ -236,6 +240,18 @@ QueryTicket Server::submit(const QueryRequest& req) {
   if (req.kind == QueryKind::kSssp)
     GRX_CHECK_MSG(weighted_,
                   "SSSP submitted to a server over an unweighted graph");
+  // PageRank gathers over the transpose, and workers bind the graph as
+  // its own (Worker::rebuild): admit it only on a symmetric graph. A
+  // symmetric DynamicGraph stays symmetric — its constructor checks the
+  // base and every update is mirrored.
+  if (req.kind == QueryKind::kPagerank) {
+    if (g_ != nullptr)
+      std::call_once(symmetric_once_,
+                     [this] { symmetric_ = is_symmetric(*g_); });
+    GRX_CHECK_MSG(symmetric_,
+                  "PageRank submitted to a server over a directed graph "
+                  "(a dynamic graph must be DynamicGraphOptions::symmetric)");
+  }
 
   // Compose the query's robustness envelope once, at admission: the
   // effective deadline (request budget, else the server default) and the
@@ -731,9 +747,10 @@ void Server::execute(Worker& w, std::vector<Pending>& batch) {
   // time, rebinding the pooled engine when the epoch moved since the last
   // enact. The rebind is a pointer swap — pooled buffers re-size per
   // enact, so steady state stays allocation-free while the edge count
-  // does not grow past its high-water mark.
+  // does not grow past its high-water mark. The snapshot is bound as its
+  // own transpose, as in Worker::rebuild.
   if (dyn_ != nullptr && serving_epoch != w.bound_epoch) {
-    w.engine->rebind(w.view.csr());
+    w.engine->rebind(w.view.csr(), w.view.csr());
     w.bound_epoch = serving_epoch;
     std::lock_guard<std::mutex> sl(stats_mu_);
     stats_.epoch_rebinds++;

@@ -218,8 +218,8 @@ struct FuseOptionsKey {
 inline FuseOptionsKey fuse_options_key(QueryKind kind,
                                        const QueryOptions& opts) {
   FuseOptionsKey k;
-  k.strategy = opts.strategy;
   if (coalescable(kind)) {
+    k.strategy = opts.strategy;
     k.direction = opts.direction;
     k.lb_node_edge_threshold = opts.lb_node_edge_threshold;
     k.pull_alpha = opts.pull_alpha;
@@ -459,15 +459,17 @@ class Server {
  public:
   /// Binds the pool to `g` (captured by reference; must outlive the
   /// server) and starts the workers. SSSP submissions require a weighted
-  /// graph (checked at submit, not at a worker, so misuse fails in the
-  /// submitting thread).
+  /// graph and PageRank submissions a symmetric one (it gathers over
+  /// in-edges and the server holds no transpose); both are checked at
+  /// submit, not at a worker, so misuse fails in the submitting thread.
   explicit Server(const Csr& g, const ServerOptions& opts = {});
 
   /// Serve a live, mutable graph (captured by reference; must outlive the
   /// server). Every query pins the newest snapshot at dequeue time and is
   /// byte-equal to a serial oracle on that epoch's graph; mutations enter
   /// through apply_updates(). Snapshots always carry weights, so SSSP is
-  /// always admissible on a dynamic server.
+  /// always admissible on a dynamic server; PageRank is admissible when
+  /// the graph is DynamicGraphOptions::symmetric.
   explicit Server(DynamicGraph& g, const ServerOptions& opts = {});
 
   /// Graceful: stop(), which drains every accepted query.
@@ -581,6 +583,11 @@ class Server {
   DynamicGraph* dyn_ = nullptr;  ///< dynamic mode; null on a static server
   VertexId n_ = 0;               ///< vertex count (fixed in both modes)
   bool weighted_ = false;        ///< SSSP admissible (always on dynamic)
+  /// PageRank admissible: the graph is its own transpose. Dynamic mode
+  /// reads DynamicGraphOptions::symmetric; static mode checks the graph
+  /// once, at the first PageRank submit.
+  bool symmetric_ = false;
+  std::once_flag symmetric_once_;
   ServerOptions opts_;
 
   std::mutex mu_;

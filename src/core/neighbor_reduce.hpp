@@ -6,9 +6,11 @@
 //
 // For each frontier vertex v, computes
 //     out[v] = reduce(init, map(v, u, e) for each incident edge (v,u,e))
-// with a segmented-reduction cost model (no atomics: each segment is owned
-// by one warp slice), using the same load-balanced edge partitioning as
-// the LB advance.
+// as a segmented reduction with no atomics. The mapping is static: warp w
+// owns frontier items [32w, 32w+32) and sweeps their segments in turn, so
+// unlike the LB advance there is no edge-balanced partition — a hub's
+// segment lengthens its warp alone. Each segment is reduced in CSR edge
+// order on one host thread, so results do not depend on the thread count.
 #pragma once
 
 #include <cstdint>

@@ -56,7 +56,18 @@ Csr transpose(const Csr& g) {
   return Csr(n, std::move(offsets), std::move(cols), std::move(weights));
 }
 
-bool is_symmetric(const Csr& g) {
+namespace {
+
+bool rows_ascending(const Csr& g) {
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    const auto nbrs = g.neighbors(v);
+    if (!std::is_sorted(nbrs.begin(), nbrs.end())) return false;
+  }
+  return true;
+}
+
+/// Sort-based check for graphs with unsorted neighbor lists.
+bool is_symmetric_sorted_pairs(const Csr& g) {
   using Pair = std::pair<VertexId, VertexId>;
   std::vector<Pair> fwd, rev;
   fwd.reserve(g.num_edges());
@@ -69,6 +80,27 @@ bool is_symmetric(const Csr& g) {
   std::sort(fwd.begin(), fwd.end());
   std::sort(rev.begin(), rev.end());
   return fwd == rev;
+}
+
+}  // namespace
+
+bool is_symmetric(const Csr& g) {
+  if (!rows_ascending(g)) return is_symmetric_sorted_pairs(g);
+  // Cursor walk: visiting sources in ascending order, the reverse entries
+  // of row u arrive in ascending source order — exactly row u's own order
+  // when the graph is symmetric. So each edge (v, u) must match the next
+  // unmatched entry of row u. Every edge consuming a distinct entry of
+  // the same total count makes the match a bijection onto the reversed
+  // edges, multiplicities (parallel edges, self-loops) included.
+  std::vector<EdgeId> cursor(g.row_offsets().begin(),
+                             g.row_offsets().end() - 1);
+  for (VertexId v = 0; v < g.num_vertices(); ++v)
+    for (VertexId u : g.neighbors(v)) {
+      EdgeId& next = cursor[u];
+      if (next == g.row_end(u) || g.col_index(next) != v) return false;
+      ++next;
+    }
+  return true;
 }
 
 }  // namespace grx

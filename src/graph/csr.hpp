@@ -69,9 +69,12 @@ class Csr {
 Csr transpose(const Csr& g);
 
 /// True iff the adjacency *structure* is symmetric: the multiset of edges
-/// (u, v) equals the multiset of (v, u), weights ignored. O(E log E); used
-/// as a one-time guard by consumers that treat a graph as its own
-/// transpose (Engine::hits/salsa, pull-mode callers).
+/// (u, v) equals the multiset of (v, u), weights ignored. O(E) with O(V)
+/// scratch when every neighbor list is ascending (build_csr's default and
+/// every DynamicGraph snapshot); O(E log E) otherwise. Used as a one-time
+/// guard by consumers that treat a graph as its own transpose
+/// (Engine::pagerank/hits/salsa, symmetric DynamicGraph, pull-mode
+/// callers).
 bool is_symmetric(const Csr& g);
 
 }  // namespace grx

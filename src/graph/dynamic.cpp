@@ -50,6 +50,9 @@ DynamicGraph::DynamicGraph(const Csr& base, DynamicGraphOptions options)
       options_(options),
       reclaimer_(options.max_readers),
       base_(canonical_weighted(base)) {
+  GRX_CHECK_MSG(!options_.symmetric || is_symmetric(base_),
+                "DynamicGraphOptions::symmetric requires a symmetric base "
+                "graph");
   auto snap = std::make_unique<detail::GraphSnapshot>();
   snap->epoch = 0;
   snap->graph = base_;

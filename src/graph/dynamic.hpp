@@ -75,7 +75,8 @@ struct EdgeUpdate {
 
 struct DynamicGraphOptions {
   /// Apply every update in both directions (mirror of a self-loop is
-  /// itself, applied once). Keeps undirected graphs undirected.
+  /// itself, applied once). Keeps undirected graphs undirected; the base
+  /// graph must be symmetric (checked at construction, CheckError).
   bool symmetric = false;
   /// Fold the delta log into the base CSR every N applied batches;
   /// 0 disables automatic compaction (compact() still works).

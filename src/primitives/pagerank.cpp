@@ -5,50 +5,31 @@
 #include "core/compute.hpp"
 #include "core/filter.hpp"
 #include "core/program.hpp"
-#include "util/timer.hpp"
 
 namespace grx {
 namespace {
 
-struct DistributeFunctor {
-  /// Scatter the contribution delta to dst. Returns false: PageRank's
-  /// advance emits no output frontier (collect_outputs = false).
-  static bool cond_edge(VertexId src, VertexId dst, EdgeId, PrProblem& p) {
-    const double delta =
-        p.rank[src] / static_cast<double>(p.g->degree(src)) - p.sent[src];
-    if (delta != 0.0) simt::atomic_add(p.incoming[dst], delta);
-    return false;
-  }
-  static void apply_edge(VertexId, VertexId, EdgeId, PrProblem&) {}
-  /// Filter: keep vertices that have not converged.
-  static bool cond_vertex(VertexId v, PrProblem& p) {
-    return !p.converged[v];
-  }
+/// Filter: keep vertices that have not converged.
+struct PruneFunctor {
+  static bool cond_vertex(VertexId v, PrProblem& p) { return !p.converged[v]; }
   static void apply_vertex(VertexId, PrProblem&) {}
 };
 
-/// PageRank as an operator program: distribute-advance, two compute steps
-/// (sent bookkeeping, rank update + convergence test), prune-filter.
+/// PageRank as an operator program: contribution compute, gather-reduce
+/// over the transpose, rank-update compute, prune-filter.
 struct PrProgram {
   PrProblem& p;
+  const Csr& gT;
   const PagerankOptions& opts;
-  AdvanceConfig acfg;
   FilterConfig fcfg;
   std::uint32_t iter = 0;
 
   void init(OpContext& c) {
-    const Csr& g = c.graph();
-    const auto n = g.num_vertices();
-    p.g = &g;
+    const auto n = c.graph().num_vertices();
     p.rank.assign(n, 1.0 / n);
-    p.incoming.assign(n, 0.0);
     p.sent.assign(n, 0.0);
     p.converged.assign(n, 0);
     p.epsilon = opts.epsilon;
-
-    acfg.strategy = opts.strategy;
-    acfg.idempotent = true;  // atomicAdd cost is charged via the cost model
-    acfg.collect_outputs = false;
     iter = 0;
 
     c.frontier().assign_iota(n);
@@ -61,34 +42,57 @@ struct PrProgram {
   IterationStats step(OpContext& c) {
     const Csr& g = c.graph();
     const auto n = g.num_vertices();
-    const AdvanceStats a = c.advance<DistributeFunctor>(p, acfg);
-    // Record what each active vertex has now distributed in total.
-    c.compute(p, [&](std::uint32_t v, PrProblem& prob) {
-      if (g.degree(v))
-        prob.sent[v] = prob.rank[v] / static_cast<double>(g.degree(v));
-    });
 
     // Dangling mass: vertices with no edges spread uniformly.
     double dangling = 0.0;
     for (VertexId v = 0; v < n; ++v)
       if (g.degree(v) == 0) dangling += p.rank[v];
     c.dev().charge_pass("pr_dangling", n, simt::CostModel::kCoalesced);
-
-    // PageRank update + convergence test (fused compute over all).
     const double base =
         (1.0 - opts.damping) / n + opts.damping * dangling / n;
-    c.compute_all(n, p, [&](std::uint32_t v, PrProblem& prob) {
-      const double next = base + opts.damping * prob.incoming[v];
-      if (p.epsilon > 0.0 &&
-          std::abs(next - prob.rank[v]) < p.epsilon * (1.0 / n))
-        prob.converged[v] = 1;
-      prob.rank[v] = next;
+
+    // What each active vertex sends along every out-edge this round.
+    c.compute(p, [&](std::uint32_t v, PrProblem& prob) {
+      if (g.degree(v))
+        prob.sent[v] = prob.rank[v] / static_cast<double>(g.degree(v));
     });
 
-    c.filter_frontier<DistributeFunctor>(p, fcfg);
-    const IterationStats s{0, c.frontier().size(), c.staged().size(),
-                           a.edges_processed, false};
-    if (opts.epsilon > 0.0) c.promote();
+    // Pull: sum the in-neighbors' contributions, in transpose row order.
+    c.neighbor_reduce<double>(
+        gT, p.gathered, p, 0.0,
+        [](VertexId, VertexId u, EdgeId, PrProblem& prob) {
+          return prob.sent[u];
+        },
+        [](double a, double b) { return a + b; });
+
+    // Rank update + convergence test over the frontier (gathered[i]
+    // belongs to frontier item i).
+    const auto& items = c.frontier().items();
+    c.compute_all(static_cast<std::uint32_t>(items.size()), p,
+                  [&](std::uint32_t i, PrProblem& prob) {
+                    const VertexId v = items[i];
+                    const double next =
+                        base + opts.damping * prob.gathered[i];
+                    if (prob.epsilon > 0.0 &&
+                        std::abs(next - prob.rank[v]) <
+                            prob.epsilon * (1.0 / n))
+                      prob.converged[v] = 1;
+                    prob.rank[v] = next;
+                  });
+
+    // A frontier holds no duplicates, so a full one is every vertex.
+    std::uint64_t edges = gT.num_edges();
+    if (items.size() != n) {
+      edges = 0;
+      for (const VertexId v : items) edges += gT.degree(v);
+    }
+    IterationStats s{0, items.size(), items.size(), edges, false};
+    // Without pruning nothing ever converges: skip the no-op filter.
+    if (opts.epsilon > 0.0) {
+      c.filter_frontier<PruneFunctor>(p, fcfg);
+      s.output_size = c.staged().size();
+      c.promote();
+    }
     ++iter;
     return s;
   }
@@ -96,10 +100,12 @@ struct PrProgram {
 
 }  // namespace
 
-void PrEnactor::enact(const Csr& g, const PagerankOptions& opts,
+void PrEnactor::enact(const Csr& g, const Csr& gT, const PagerankOptions& opts,
                       PagerankResult& out) {
   GRX_CHECK(g.num_vertices() > 0);
-  PrProgram prog{problem_, opts, {}, {}};
+  GRX_CHECK(g.num_vertices() == gT.num_vertices());
+  GRX_CHECK(g.num_edges() == gT.num_edges());
+  PrProgram prog{problem_, gT, opts, {}};
   enact_program(g, prog, out.summary);
   out.rank = problem_.rank;
 }

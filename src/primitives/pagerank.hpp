@@ -1,16 +1,15 @@
 // PageRank (Section 5.5): the frontier starts as all vertices; each
-// iteration is one advance (scatter rank/degree to neighbors with
-// atomicAdd) plus one filter (drop vertices whose rank has converged).
+// iteration gathers rank/degree over every frontier vertex's in-neighbors
+// with the neighbor-reduce operator (Section 7's gather-reduce, no
+// atomics) and then filters out vertices whose rank has converged.
 #pragma once
 
-#include "core/advance.hpp"
 #include "core/enactor.hpp"
 #include "graph/csr.hpp"
 
 namespace grx {
 
 struct PagerankOptions {
-  AdvanceStrategy strategy = AdvanceStrategy::kAuto;
   double damping = 0.85;
   /// Per-vertex convergence threshold for frontier pruning. 0 disables
   /// pruning (every vertex iterates to max_iterations — the mode used for
@@ -25,17 +24,18 @@ struct PagerankResult {
   EnactSummary summary;
 };
 
-// Delta-residual formulation: every vertex v keeps `sent[v]`, the
-// contribution (rank/degree) it last pushed; the advance pushes only the
-// *change* into a persistent per-vertex accumulator `incoming`. When the
-// filter prunes a converged vertex from the frontier (Section 5.5), its
-// last contribution stays in its neighbors' accumulators, so the pruning
-// error is bounded by epsilon rather than by the vertex's whole rank.
+// Pull formulation: every vertex v keeps `sent[v]`, its current
+// contribution rank[v]/out-degree(v). Each iteration a frontier vertex
+// gathers the sum of `sent` over its in-neighbors (a neighbor-reduce over
+// the transpose, visiting them in ascending id order, the order the serial
+// power iteration accumulates in) and updates its own rank. When the filter
+// prunes a converged vertex from the frontier (Section 5.5), it keeps its
+// last rank and contribution; the contribution lags the rank by one
+// update, which the convergence test bounds by epsilon/n.
 struct PrProblem {
-  const Csr* g = nullptr;
   std::vector<double> rank;
-  std::vector<double> incoming;  // persistent sum of neighbor contributions
-  std::vector<double> sent;      // last contribution distributed per vertex
+  std::vector<double> sent;      // rank / out-degree per vertex
+  std::vector<double> gathered;  // neighbor-reduce output, frontier-aligned
   std::vector<std::uint8_t> converged;
   double epsilon = 0.0;
 };
@@ -46,7 +46,10 @@ class PrEnactor : public EnactorBase {
  public:
   using EnactorBase::EnactorBase;
 
-  void enact(const Csr& g, const PagerankOptions& opts, PagerankResult& out);
+  /// Runs PageRank on `g`; `gT` must be its transpose (pass `g` itself for
+  /// a symmetric graph).
+  void enact(const Csr& g, const Csr& gT, const PagerankOptions& opts,
+             PagerankResult& out);
 
  private:
   PrProblem problem_;

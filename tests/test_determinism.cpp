@@ -9,9 +9,11 @@
 #include <vector>
 
 #include "api/engine.hpp"
+#include "baselines/serial/serial.hpp"
 #include "core/advance.hpp"
 #include "core/filter.hpp"
 #include "core/priority_queue.hpp"
+#include "graph/datasets.hpp"
 #include "graph/generators.hpp"
 #include "test_common.hpp"
 
@@ -345,6 +347,29 @@ TEST(Determinism, BatchBcForwardIdenticalAcrossThreadCounts) {
 // commutative sums/mins, so distances, iteration counts, and the schedule
 // stats themselves must be byte-identical across 1/2/8 host threads and
 // across every advance strategy.
+
+// PageRank gathers each vertex's in-neighbor contributions in CSR order,
+// which is the order the serial power iteration accumulates them in: with
+// pruning off the ranks are the oracle's bytes at any thread count.
+// (shrink 4 keeps every graph above the device's serial-launch cutoff, so
+// the multi-thread runs really fan out.)
+TEST(Determinism, PagerankByteEqualToOracleAcrossThreadCounts) {
+  ThreadRestorer restore;
+  for (const char* name : {"soc-orkut-s", "kron-s", "roadnet-s"}) {
+    const Csr g = build_dataset(name, /*shrink=*/4);
+    const std::vector<double> oracle = serial::pagerank(g, 0.85, 20);
+    QueryOptions opts;
+    opts.epsilon = 0.0;
+    opts.max_iterations = 20;
+    for (int threads : {1, 2, 8}) {
+      omp_set_num_threads(threads);
+      simt::Device dev;
+      Engine eng(dev, g);
+      EXPECT_EQ(eng.pagerank(opts).rank, oracle)
+          << name << ", " << threads << " threads";
+    }
+  }
+}
 
 TEST(Determinism, SsspNearFarIdenticalAcrossThreadCounts) {
   ThreadRestorer restore;

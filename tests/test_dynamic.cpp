@@ -542,6 +542,54 @@ TEST(DynamicServer, ResultsAreEpochTaggedAndOracleExact) {
   EXPECT_THROW(server.apply_updates(batch), CheckError);
 }
 
+TEST(DynamicServer, PagerankIsOracleExactAcrossEpochs) {
+  // A symmetric dynamic graph's snapshots are their own transposes: the
+  // workers bind them as such, and PageRank (no pruning) is the serial
+  // power iteration's bytes on every epoch.
+  const Csr& base = grx::testing::power_law_serving_graph(8);
+  DynamicGraphOptions opt;
+  opt.symmetric = true;
+  DynamicGraph dyn(base, opt);
+  RefModel ref = RefModel::from(dyn.snapshot().csr());
+
+  ServerOptions so;
+  so.num_workers = 2;
+  Server server(dyn, so);
+  QueryOptions pr;
+  pr.epsilon = 0.0;
+  pr.max_iterations = 20;
+  EXPECT_EQ(server.submit_pagerank(pr).get().rank,
+            serial::pagerank(ref.to_csr(), 0.85, 20));
+
+  Rng rng(17);
+  const std::vector<EdgeUpdate> batch = random_batch(rng, ref, 16);
+  server.apply_updates(batch);
+  for (const EdgeUpdate& u : batch) ref.apply(u, true);
+  const QueryResult r = server.submit_pagerank(pr).get();
+  EXPECT_EQ(r.epoch, 1u);
+  EXPECT_EQ(r.rank, serial::pagerank(ref.to_csr(), 0.85, 20));
+}
+
+TEST(DynamicServer, PagerankNeedsASymmetricGraph) {
+  // PageRank gathers over in-edges and a server holds no transpose, so a
+  // directed graph is refused in the submitting thread — on a static
+  // server and on a dynamic one without the symmetric option.
+  const Csr directed = build_csr(rmat(7, 8, 3));
+  ASSERT_FALSE(is_symmetric(directed));
+  Server fixed(directed, {});
+  EXPECT_THROW(fixed.submit_pagerank(), CheckError);
+
+  DynamicGraph dyn(grx::testing::power_law_serving_graph(7));
+  Server live(dyn, {});
+  EXPECT_THROW(live.submit_pagerank(), CheckError);
+}
+
+TEST(DynamicGraph, SymmetricOptionRejectsDirectedBase) {
+  DynamicGraphOptions opt;
+  opt.symmetric = true;
+  EXPECT_THROW(DynamicGraph(build_csr(rmat(7, 8, 3)), opt), CheckError);
+}
+
 TEST(DynamicServer, StaticServerRejectsMutations) {
   Server server(grx::testing::power_law_serving_graph(7), {});
   EXPECT_FALSE(server.dynamic());

@@ -59,6 +59,86 @@ TEST(Csr, DoubleTransposeIsIdentity) {
   }
 }
 
+/// Reference symmetry check: multiset of (u, v) == multiset of (v, u).
+bool symmetric_by_multiset(const Csr& g) {
+  std::multiset<std::pair<VertexId, VertexId>> fwd, rev;
+  for (VertexId v = 0; v < g.num_vertices(); ++v)
+    for (VertexId u : g.neighbors(v)) {
+      fwd.emplace(v, u);
+      rev.emplace(u, v);
+    }
+  return fwd == rev;
+}
+
+TEST(IsSymmetric, SymmetrizedAndDirectedBuilds) {
+  BuildOptions sym;
+  sym.symmetrize = true;
+  EXPECT_TRUE(is_symmetric(build_csr(rmat(8, 8, 7), sym)));
+  EXPECT_FALSE(is_symmetric(build_csr(rmat(8, 8, 7))));
+  // One missing reverse entry: 0 <-> 1 plus 1 -> 2 alone.
+  EXPECT_FALSE(is_symmetric(Csr(3, {0, 1, 3, 3}, {1, 0, 2})));
+  // Same edge count, different multiset: 0 -> 1, 1 -> 1 (never 1 -> 0).
+  EXPECT_FALSE(is_symmetric(Csr(2, {0, 1, 2}, {1, 1})));
+  EXPECT_TRUE(is_symmetric(Csr(3, {0, 0, 0, 0}, {})));  // no edges
+}
+
+TEST(IsSymmetric, UnsortedRowsFallBackToTheSortCheck) {
+  // Row 0 lists {2, 1}: the cursor walk's precondition fails, so the
+  // answer must come from the sort-based path — both ways.
+  EXPECT_TRUE(is_symmetric(Csr(3, {0, 2, 3, 4}, {2, 1, 0, 0})));
+  EXPECT_FALSE(is_symmetric(Csr(3, {0, 2, 3, 3}, {2, 1, 0})));
+}
+
+TEST(IsSymmetric, ParallelEdgesCountWithMultiplicity) {
+  // 0 => 1 twice, 1 => 0 twice: symmetric as a multiset.
+  EXPECT_TRUE(is_symmetric(Csr(2, {0, 2, 4}, {1, 1, 0, 0})));
+  // 0 => 1 twice, 1 => 0 once: not.
+  EXPECT_FALSE(is_symmetric(Csr(2, {0, 2, 3}, {1, 1, 0})));
+  // 0 => 1 once, 1 => 0 twice: not (the surplus is on the reverse side).
+  EXPECT_FALSE(is_symmetric(Csr(2, {0, 1, 3}, {1, 0, 0})));
+}
+
+TEST(IsSymmetric, SelfLoopsAreTheirOwnReverse) {
+  EXPECT_TRUE(is_symmetric(Csr(1, {0, 1}, {0})));
+  EXPECT_TRUE(is_symmetric(Csr(1, {0, 2}, {0, 0})));
+  // Self-loops between a vertex's other neighbors: 1 -> {0, 1, 1, 2}.
+  EXPECT_TRUE(
+      is_symmetric(Csr(3, {0, 1, 5, 6}, {1, 0, 1, 1, 2, 1})));
+  EXPECT_FALSE(is_symmetric(Csr(2, {0, 2, 2}, {0, 1})));
+}
+
+TEST(IsSymmetric, AgreesWithMultisetReferenceOnHostileBuilds) {
+  // Raw builds keep self-loops and parallel edges. Even seeds mirror
+  // every edge; seeds 3 mod 4 mirror every edge and then add one arc
+  // without its reverse; the rest stay directed.
+  int symmetric = 0, asymmetric = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    EdgeList el = erdos_renyi(40, 90, seed);
+    for (VertexId v = 0; v < 40; v += 7) el.edges.push_back(Edge{v, v, 1});
+    for (std::size_t i = 0; i < 10; ++i) el.edges.push_back(el.edges[i]);
+    if (seed % 2 == 0 || seed % 4 == 3) {
+      const std::size_t m = el.edges.size();
+      for (std::size_t i = 0; i < m; ++i)
+        el.edges.push_back(Edge{el.edges[i].dst, el.edges[i].src, 1});
+    }
+    if (seed % 4 == 3)
+      el.edges.push_back(Edge{1, static_cast<VertexId>(seed + 1), 1});
+    BuildOptions raw;
+    raw.remove_self_loops = false;
+    raw.dedup = false;
+    for (const bool sorted : {true, false}) {
+      raw.sort_neighbors = sorted;
+      const Csr g = build_csr(el, raw);
+      const bool want = symmetric_by_multiset(g);
+      EXPECT_EQ(is_symmetric(g), want)
+          << "seed " << seed << (sorted ? " sorted" : " unsorted");
+      ++(want ? symmetric : asymmetric);
+    }
+  }
+  EXPECT_GT(symmetric, 0);
+  EXPECT_GT(asymmetric, 0);
+}
+
 TEST(Builder, RemovesSelfLoopsAndDuplicates) {
   EdgeList el;
   el.num_vertices = 3;

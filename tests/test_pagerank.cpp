@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "api/engine.hpp"
 #include "baselines/serial/serial.hpp"
 #include "graph/datasets.hpp"
 #include "test_common.hpp"
+#include "util/rng.hpp"
 
 namespace grx {
 namespace {
@@ -121,6 +123,68 @@ TEST(Pagerank, PrunedStillCloseToExact) {
   for (std::size_t v = 0; v < oracle.size(); ++v)
     l1 += std::abs(oracle[v] - r.rank[v]);
   EXPECT_LT(l1, 1e-2);  // pruning is approximate by design (Section 5.5)
+}
+
+TEST(Pagerank, DirectedGraphGathersOverTheTranspose) {
+  // rmat without symmetrization is directed (with dangling vertices):
+  // PageRank gathers over in-edges, so it needs the transpose.
+  const Csr g = build_csr(rmat(10, 8, 11));
+  ASSERT_FALSE(is_symmetric(g));
+  const Csr gT = transpose(g);
+  QueryOptions opts;
+  opts.epsilon = 0.0;
+  opts.max_iterations = 20;
+  simt::Device dev;
+  const PagerankResult r = Engine(dev, g, gT).pagerank(opts);
+  EXPECT_EQ(r.rank, serial::pagerank(g, 0.85, 20));
+
+  // Without the transpose the engine refuses instead of gathering over
+  // out-edges.
+  simt::Device bare_dev;
+  Engine bare(bare_dev, g);
+  EXPECT_THROW(bare.pagerank(opts), CheckError);
+}
+
+TEST(Pagerank, PrunedIterationsGatherOnlyFrontierInEdges) {
+  // Every vertex has in-degree exactly kIn while out-degrees vary, so
+  // ranks (and convergence times) differ but the in-degree sum over any
+  // frontier is kIn times its size.
+  constexpr VertexId kN = 2000;
+  constexpr std::uint64_t kIn = 3;
+  Rng rng(5);
+  EdgeList el;
+  el.num_vertices = kN;
+  for (VertexId v = 0; v < kN; ++v) {
+    VertexId picked[kIn];
+    for (std::uint64_t k = 0; k < kIn; ++k) {
+      VertexId u;
+      do {
+        u = static_cast<VertexId>(rng.next_below(kN));
+      } while (u == v || std::find(picked, picked + k, u) != picked + k);
+      picked[k] = u;
+      el.edges.push_back(Edge{u, v, 1});
+    }
+  }
+  const Csr g = build_csr(el);
+  const Csr gT = transpose(g);
+  for (VertexId v = 0; v < kN; ++v) ASSERT_EQ(gT.degree(v), kIn);
+
+  simt::Device dev;
+  QueryOptions opts;
+  opts.epsilon = 1e-3;
+  const PagerankResult r = Engine(dev, g, gT).pagerank(opts);
+  const auto& its = r.summary.per_iteration;
+  ASSERT_GE(its.size(), 2u);
+  EXPECT_EQ(its.front().input_size, kN);
+  std::uint64_t partial = 0;  // iterations over a proper, non-empty subset
+  for (std::size_t i = 0; i < its.size(); ++i) {
+    EXPECT_EQ(its[i].edges_processed, kIn * its[i].input_size)
+        << "iteration " << i;
+    if (i > 0) EXPECT_LE(its[i].input_size, its[i - 1].input_size);
+    partial += its[i].input_size > 0 && its[i].input_size < kN;
+  }
+  EXPECT_LT(its.back().edges_processed, its.front().edges_processed);
+  EXPECT_GE(partial, 2u);
 }
 
 TEST(Pagerank, HigherDegreeGetsMoreRankOnChain) {

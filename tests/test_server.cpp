@@ -448,6 +448,22 @@ TEST(ServerCache, KeySeparatesSourceKindAndFuseOptions) {
   EXPECT_EQ(s.cache_entries, 4u);
 }
 
+TEST(ServerCache, WholeGraphKeysIgnoreTheAdvanceStrategy) {
+  // CC and PageRank read no advance strategy, so it must not split their
+  // cache keys: the same query under another strategy is a hit.
+  Server server(serving_graph(), cached_options());
+  QueryOptions twc;
+  twc.strategy = AdvanceStrategy::kTwc;
+  const QueryResult cc = server.submit_cc().get();
+  const QueryResult cc_hit = server.submit_cc(twc).get();
+  EXPECT_TRUE(cc_hit.cached);
+  EXPECT_EQ(cc_hit.component, cc.component);
+  const QueryResult pr = server.submit_pagerank().get();
+  const QueryResult pr_hit = server.submit_pagerank(twc).get();
+  EXPECT_TRUE(pr_hit.cached);
+  EXPECT_EQ(pr_hit.rank, pr.rank);
+}
+
 TEST(ServerCache, PerQueryOptOutNeverHitsNorPublishes) {
   ServerOptions so = cached_options();
   so.coalesce = false;

@@ -4,23 +4,11 @@
 
 namespace grx {
 
-std::uint32_t Engine::auto_delta() {
-  if (!delta_cached_ || delta_key_n_ != g_->num_vertices() ||
-      delta_key_m_ != g_->num_edges()) {
-    cached_delta_ = sssp_auto_delta(*g_);
-    delta_key_n_ = g_->num_vertices();
-    delta_key_m_ = g_->num_edges();
-    delta_cached_ = true;
-  }
-  return cached_delta_;
-}
-
 // --- single-source traversal queries ----------------------------------------
 
 void Engine::bfs(VertexId source, BfsResult& out, const QueryOptions& opts) {
   EnactScope scope(*this);
-  bfs_.set_cancel(opts.cancel);
-  bfs_.enact(*g_, source, opts.to_bfs(), out);
+  bfs_.enact(*g_, source, opts, out);
 }
 BfsResult Engine::bfs(VertexId source, const QueryOptions& opts) {
   BfsResult out;
@@ -31,10 +19,7 @@ BfsResult Engine::bfs(VertexId source, const QueryOptions& opts) {
 void Engine::sssp(VertexId source, SsspResult& out,
                   const QueryOptions& opts) {
   EnactScope scope(*this);
-  sssp_.set_cancel(opts.cancel);
-  SsspOptions o = opts.to_sssp();
-  if (o.use_priority_queue && o.delta == 0) o.delta = auto_delta();
-  sssp_.enact(*g_, source, o, out);
+  sssp_.enact(*g_, source, opts, out);
 }
 SsspResult Engine::sssp(VertexId source, const QueryOptions& opts) {
   SsspResult out;
@@ -44,8 +29,7 @@ SsspResult Engine::sssp(VertexId source, const QueryOptions& opts) {
 
 void Engine::bc(VertexId source, BcResult& out, const QueryOptions& opts) {
   EnactScope scope(*this);
-  bc_.set_cancel(opts.cancel);
-  bc_.enact(*g_, source, opts.to_bc(), out);
+  bc_.enact(*g_, source, opts, out);
 }
 BcResult Engine::bc(VertexId source, const QueryOptions& opts) {
   BcResult out;
@@ -57,8 +41,7 @@ BcResult Engine::bc(VertexId source, const QueryOptions& opts) {
 
 void Engine::cc(CcResult& out, const QueryOptions& opts) {
   EnactScope scope(*this);
-  cc_.set_cancel(opts.cancel);
-  cc_.enact(*g_, out);
+  cc_.enact(*g_, opts, out);
 }
 CcResult Engine::cc(const QueryOptions& opts) {
   CcResult out;
@@ -69,8 +52,7 @@ CcResult Engine::cc(const QueryOptions& opts) {
 void Engine::pagerank(PagerankResult& out, const QueryOptions& opts) {
   EnactScope scope(*this);
   require_transpose();
-  pr_.set_cancel(opts.cancel);
-  pr_.enact(*g_, *gT_, opts.to_pagerank(), out);
+  pr_.enact(*g_, *gT_, opts, out);
 }
 PagerankResult Engine::pagerank(const QueryOptions& opts) {
   PagerankResult out;
@@ -80,8 +62,7 @@ PagerankResult Engine::pagerank(const QueryOptions& opts) {
 
 void Engine::coloring(ColoringResult& out, const QueryOptions& opts) {
   EnactScope scope(*this);
-  coloring_.set_cancel(opts.cancel);
-  coloring_.enact(*g_, opts.seed, out);
+  coloring_.enact(*g_, opts, out);
 }
 ColoringResult Engine::coloring(const QueryOptions& opts) {
   ColoringResult out;
@@ -91,8 +72,7 @@ ColoringResult Engine::coloring(const QueryOptions& opts) {
 
 void Engine::mis(MisResult& out, const QueryOptions& opts) {
   EnactScope scope(*this);
-  mis_.set_cancel(opts.cancel);
-  mis_.enact(*g_, opts.seed, out);
+  mis_.enact(*g_, opts, out);
 }
 MisResult Engine::mis(const QueryOptions& opts) {
   MisResult out;
@@ -102,8 +82,7 @@ MisResult Engine::mis(const QueryOptions& opts) {
 
 void Engine::mst(MstResult& out, const QueryOptions& opts) {
   EnactScope scope(*this);
-  mst_.set_cancel(opts.cancel);
-  mst_.enact(*g_, out);
+  mst_.enact(*g_, opts, out);
 }
 MstResult Engine::mst(const QueryOptions& opts) {
   MstResult out;
@@ -122,8 +101,7 @@ void Engine::require_transpose() {
 void Engine::hits(HitsResult& out, const QueryOptions& opts) {
   EnactScope scope(*this);
   require_transpose();
-  hits_.set_cancel(opts.cancel);
-  hits_.enact(*g_, *gT_, opts.to_hits(), out);
+  hits_.enact(*g_, *gT_, opts, out);
 }
 HitsResult Engine::hits(const QueryOptions& opts) {
   HitsResult out;
@@ -134,8 +112,7 @@ HitsResult Engine::hits(const QueryOptions& opts) {
 void Engine::salsa(SalsaResult& out, const QueryOptions& opts) {
   EnactScope scope(*this);
   require_transpose();
-  salsa_.set_cancel(opts.cancel);
-  salsa_.enact(*g_, *gT_, opts.to_salsa(), out);
+  salsa_.enact(*g_, *gT_, opts, out);
 }
 SalsaResult Engine::salsa(const QueryOptions& opts) {
   SalsaResult out;
@@ -148,8 +125,7 @@ SalsaResult Engine::salsa(const QueryOptions& opts) {
 void Engine::batch_bfs(std::span<const VertexId> sources,
                        BatchBfsResult& out, const QueryOptions& opts) {
   EnactScope scope(*this);
-  batch_.set_cancel(opts.cancel);
-  batch_.bfs(*g_, sources, opts.to_batch(), out);
+  batch_.bfs(*g_, sources, opts, out);
 }
 BatchBfsResult Engine::batch_bfs(std::span<const VertexId> sources,
                                  const QueryOptions& opts) {
@@ -161,15 +137,7 @@ BatchBfsResult Engine::batch_bfs(std::span<const VertexId> sources,
 void Engine::batch_sssp(std::span<const VertexId> sources,
                         BatchSsspResult& out, const QueryOptions& opts) {
   EnactScope scope(*this);
-  batch_.set_cancel(opts.cancel);
-  BatchOptions o = opts.to_batch();
-  // Resolve the cached heuristic through the same batch scaling the
-  // enactor would apply — the resolved schedule must be identical whether
-  // delta arrives pre-filled or the enactor derives it.
-  if (o.use_priority_queue && o.delta == 0)
-    o.delta = batch_scale_delta(auto_delta(), g_->num_vertices(),
-                                static_cast<std::uint32_t>(sources.size()));
-  batch_.sssp(*g_, sources, o, out);
+  batch_.sssp(*g_, sources, opts, out);
 }
 BatchSsspResult Engine::batch_sssp(std::span<const VertexId> sources,
                                    const QueryOptions& opts) {
@@ -182,8 +150,7 @@ void Engine::batch_reachability(std::span<const VertexId> sources,
                                 BatchReachabilityResult& out,
                                 const QueryOptions& opts) {
   EnactScope scope(*this);
-  batch_.set_cancel(opts.cancel);
-  batch_.reachability(*g_, sources, opts.to_batch(), out);
+  batch_.reachability(*g_, sources, opts, out);
 }
 BatchReachabilityResult Engine::batch_reachability(
     std::span<const VertexId> sources, const QueryOptions& opts) {
@@ -196,8 +163,7 @@ void Engine::batch_bc_forward(std::span<const VertexId> sources,
                               BatchBcForwardResult& out,
                               const QueryOptions& opts) {
   EnactScope scope(*this);
-  batch_.set_cancel(opts.cancel);
-  batch_.bc_forward(*g_, sources, opts.to_batch(), out);
+  batch_.bc_forward(*g_, sources, opts, out);
 }
 BatchBcForwardResult Engine::batch_bc_forward(
     std::span<const VertexId> sources, const QueryOptions& opts) {
@@ -211,18 +177,13 @@ BatchBcForwardResult Engine::batch_bc_forward(
 void Engine::bc_batched(std::span<const VertexId> sources,
                         std::vector<double>& out, const QueryOptions& opts) {
   EnactScope scope(*this);
-  batch_.set_cancel(opts.cancel);
-  bc_.set_cancel(opts.cancel);
   out.assign(g_->num_vertices(), 0.0);
   if (sources.empty()) return;
   // Lane-packed forward pass, then one backward sweep per source folded
-  // into `out`; only the advance strategy carries over to the batch.
-  BatchOptions fwd_opts;
-  fwd_opts.strategy = opts.strategy;
-  batch_.bc_forward(*g_, sources, fwd_opts, bc_fwd_);
-  const BcOptions bc_opts = opts.to_bc();
+  // into `out`.
+  batch_.bc_forward(*g_, sources, opts, bc_fwd_);
   for (std::uint32_t q = 0; q < bc_fwd_.num_lanes; ++q)
-    bc_.backward_accumulate(*g_, bc_fwd_, q, sources[q], bc_opts, out);
+    bc_.backward_accumulate(*g_, bc_fwd_, q, sources[q], opts, out);
 }
 std::vector<double> Engine::bc_batched(std::span<const VertexId> sources,
                                        const QueryOptions& opts) {
@@ -234,13 +195,11 @@ std::vector<double> Engine::bc_batched(std::span<const VertexId> sources,
 void Engine::bc_sampled(std::uint32_t num_sources, std::uint64_t seed,
                         std::vector<double>& out, const QueryOptions& opts) {
   EnactScope scope(*this);
-  bc_.set_cancel(opts.cancel);
   out.assign(g_->num_vertices(), 0.0);
-  const BcOptions bc_opts = opts.to_bc();
   Rng rng(seed);
   for (std::uint32_t s = 0; s < num_sources; ++s) {
     const auto src = static_cast<VertexId>(rng.next_below(g_->num_vertices()));
-    bc_.enact(*g_, src, bc_opts, bc_tmp_);
+    bc_.enact(*g_, src, opts, bc_tmp_);
     for (VertexId v = 0; v < g_->num_vertices(); ++v)
       out[v] += bc_tmp_.bc_values[v];
   }

@@ -30,8 +30,8 @@
 #include <span>
 #include <vector>
 
-#include "api/query.hpp"
 #include "core/batch_enactor.hpp"
+#include "core/query_options.hpp"
 #include "graph/csr.hpp"
 #include "verify/sched.hpp"
 #include "primitives/bc.hpp"
@@ -105,11 +105,6 @@ class Engine {
     gT_ = &transpose;
     transpose_explicit_ = true;
     symmetry_verified_ = false;
-    // Drop the cached SSSP delta heuristic with the symmetry cache: the
-    // new epoch's vertex/edge counts may differ, and a stale delta would
-    // silently change the near/far schedule (auto_delta also re-keys by
-    // graph shape, so this is belt-and-suspenders for clarity).
-    delta_cached_ = false;
   }
 
   /// True while a query is executing on this engine. An Engine is
@@ -205,15 +200,6 @@ class Engine {
   /// once.
   void require_transpose();
 
-  /// Cached sssp_auto_delta for the bound graph, keyed by its
-  /// vertex/edge counts (the heuristic's only inputs): repeated SSSP
-  /// queries skip the recompute, and a rebind to a grown snapshot — or
-  /// any shape change across epochs — recomputes instead of serving the
-  /// stale value. Returns the raw single-query delta; batched callers
-  /// apply batch_scale_delta on top (the exact sizing the enactor would
-  /// derive itself — the two must never diverge).
-  std::uint32_t auto_delta();
-
   /// RAII reentry guard taken by every query entry point: one atomic RMW
   /// per query (noise next to an enactment), always on — concurrent entry
   /// is a programming error whose symptom without the guard would be
@@ -255,12 +241,6 @@ class Engine {
   const Csr* gT_;
   bool transpose_explicit_ = true;
   bool symmetry_verified_ = false;
-
-  // auto_delta() cache (see above).
-  bool delta_cached_ = false;
-  VertexId delta_key_n_ = 0;
-  EdgeId delta_key_m_ = 0;
-  std::uint32_t cached_delta_ = 0;
 
   // One persistent enactor per primitive: each owns its Problem buffers
   // and shares the operator-workspace pooling of EnactorBase.

@@ -37,7 +37,7 @@
 // path, mirroring the snapshot-reclamation collect).
 //
 // Threading: every public method is thread-safe. State is partitioned
-// into `shards` independently locked segments selected by the key hash;
+// into kShards independently locked segments selected by the key hash;
 // a method takes exactly one shard mutex and no other lock, so the cache
 // composes with the server's queue/stats/ticket mutexes without ordering
 // constraints (the shard mutex is always a leaf).
@@ -61,14 +61,9 @@ template <typename Key, typename Value, typename Waiter,
           typename Hash = std::hash<Key>>
 class ResultCache {
  public:
-  struct Options {
-    /// Global entry bound, split evenly across shards (each shard evicts
-    /// its own least-recently-used entry past its slice of the budget).
-    std::uint32_t max_entries = 4096;
-    /// Lock shards. More shards, less contention; each costs one mutex
-    /// and two small hash maps.
-    std::uint32_t shards = 8;
-  };
+  /// Lock shards. More shards, less contention; each costs one mutex and
+  /// two small hash maps.
+  static constexpr std::uint32_t kShards = 8;
 
   /// How probe() classified the caller.
   enum class Probe : std::uint8_t {
@@ -83,12 +78,14 @@ class ResultCache {
     std::size_t evicted = 0;      ///< LRU entries dropped by the insert
   };
 
-  explicit ResultCache(const Options& opts) {
-    const std::uint32_t shards = std::max<std::uint32_t>(1, opts.shards);
-    const std::uint32_t cap = std::max<std::uint32_t>(1, opts.max_entries);
-    per_shard_cap_ = std::max<std::uint32_t>(1, cap / shards);
-    shards_.reserve(shards);
-    for (std::uint32_t i = 0; i < shards; ++i)
+  /// `max_entries` is the global entry bound, split evenly across shards
+  /// (each shard evicts its own least-recently-used entry past its slice
+  /// of the budget).
+  explicit ResultCache(std::uint32_t max_entries) {
+    const std::uint32_t cap = std::max<std::uint32_t>(1, max_entries);
+    per_shard_cap_ = std::max<std::uint32_t>(1, cap / kShards);
+    shards_.reserve(kShards);
+    for (std::uint32_t i = 0; i < kShards; ++i)
       shards_.push_back(std::make_unique<Shard>());
   }
 

@@ -198,14 +198,8 @@ Server::Server(DynamicGraph& g, const ServerOptions& opts) : opts_(opts) {
 void Server::start() {
   if (opts_.num_workers == 0)
     opts_.num_workers = std::max(1u, std::thread::hardware_concurrency());
-  opts_.max_batch = std::clamp<std::uint32_t>(opts_.max_batch, 1,
-                                              BatchEnactor::kMaxLanes);
-  if (opts_.cache.enabled) {
-    Cache::Options co;
-    co.max_entries = opts_.cache.max_entries;
-    co.shards = opts_.cache.shards;
-    cache_ = std::make_unique<Cache>(co);
-  }
+  if (opts_.cache.enabled)
+    cache_ = std::make_unique<Cache>(opts_.cache.max_entries);
   workers_.reserve(opts_.num_workers);
   for (std::uint32_t i = 0; i < opts_.num_workers; ++i)
     workers_.push_back(std::make_unique<Worker>(*this));
@@ -591,7 +585,7 @@ void Server::drain_compatible(Worker& w, std::vector<Pending>& batch) {
   // snapshot older than the newest at its fuse time.
   const bool stale = epoch_stale(w);
   for (auto it = queue_.begin();
-       it != queue_.end() && batch.size() < opts_.max_batch;) {
+       it != queue_.end() && batch.size() < kMaxBatch;) {
     if (fuse_compatible(batch.front().req, it->req)) {
       if (stale) {
         std::lock_guard<std::mutex> sl(stats_mu_);
@@ -662,8 +656,7 @@ void Server::worker_loop(Worker& w) {
     // batch (this query and everything fused into it) serves this epoch.
     if (dyn_ != nullptr) w.view = dyn_->snapshot();
 
-    if (opts_.coalesce && opts_.max_batch > 1 &&
-        coalescable(batch.front().req.kind)) {
+    if (opts_.coalesce && coalescable(batch.front().req.kind)) {
       const std::size_t pre = batch.size();
       drain_compatible(w, batch);
       if (opts_.max_queue > 0 && batch.size() != pre) space_cv_.notify_all();
@@ -684,7 +677,7 @@ void Server::worker_loop(Worker& w) {
           return c;
         };
         auto close = close_at();
-        while (batch.size() < opts_.max_batch && !stopped_) {
+        while (batch.size() < kMaxBatch && !stopped_) {
           if (cv_.wait_until(lk, close) == std::cv_status::timeout) {
             const std::size_t n = batch.size();
             drain_compatible(w, batch);  // final sweep at the close

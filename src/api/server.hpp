@@ -34,7 +34,7 @@
 //  * An adaptive batch coalescer: same-primitive single-source queries
 //    (BFS / SSSP / reachability / BC-forward) with fuse-compatible
 //    options that arrive within `coalesce_window` of each other are fused
-//    into ONE BatchEnactor lane-matrix enact — up to `max_batch` (64)
+//    into ONE BatchEnactor lane-matrix enact — up to kMaxBatch (64)
 //    lanes, one shared edge scan — and demuxed back to their tickets via
 //    the batch results' extract_lane hooks. A batch closes at whichever
 //    comes first: the window expires, the lanes fill, the EARLIEST MEMBER
@@ -189,24 +189,26 @@ struct QueryResult {
 };
 
 /// The options fingerprint two queries must share to be interchangeable:
-/// every QueryOptions field the serving path consumes for the kind,
-/// normalized (fields the kind ignores are zeroed so they can neither
-/// block fusion nor split cache keys). The coalescer fuses queries whose
-/// FuseOptionsKey (and kind) match; the result cache keys on the same
-/// fingerprint plus (epoch, kind, source) — by construction a cached
-/// entry is exactly what a fused lane for the same request computes.
+/// exactly the QueryOptions fields the serving path reads for the kind
+/// (the batched enacts of primitives/batch.cpp for the coalescable kinds,
+/// PrEnactor for PageRank, nothing for CC). Fields the kind ignores stay
+/// zeroed, so they can neither block fusion nor split cache keys. The
+/// coalescer fuses queries whose FuseOptionsKey (and kind) match; the
+/// result cache keys on the same fingerprint plus (epoch, kind, source) —
+/// by construction a cached entry is exactly what a fused lane for the
+/// same request computes.
 struct FuseOptionsKey {
-  // Batched-engine fields (BatchOptions), set for the coalescable kinds.
+  // Read by every batched enact (the coalescable kinds).
   AdvanceStrategy strategy = AdvanceStrategy::kAuto;
-  Direction direction = Direction::kPush;
   std::uint32_t lb_node_edge_threshold = 0;
+  simt::VecBackend vec = simt::VecBackend::kAuto;
+  // BFS / reachability; pull_alpha only under Direction::kOptimal.
+  Direction direction = Direction::kPush;
   double pull_alpha = 0;
-  double pull_beta = 0;
+  // SSSP; delta only with the priority queue on.
   bool use_priority_queue = false;
   std::uint32_t delta = 0;
-  simt::VecBackend vec = simt::VecBackend::kAuto;
-  // Whole-graph solo knobs, zeroed for the coalescable kinds.
-  double damping = 0;
+  // PageRank.
   double epsilon = 0;
   std::uint32_t max_iterations = 0;
 
@@ -220,17 +222,27 @@ inline FuseOptionsKey fuse_options_key(QueryKind kind,
   FuseOptionsKey k;
   if (coalescable(kind)) {
     k.strategy = opts.strategy;
-    k.direction = opts.direction;
     k.lb_node_edge_threshold = opts.lb_node_edge_threshold;
-    k.pull_alpha = opts.pull_alpha;
-    k.pull_beta = opts.pull_beta;
-    k.use_priority_queue = opts.use_priority_queue;
-    k.delta = opts.delta;
-    k.vec = opts.backend.vec;
-  } else if (kind == QueryKind::kPagerank) {
-    k.damping = opts.damping;
-    k.epsilon = opts.epsilon;
-    k.max_iterations = opts.max_iterations;
+    k.vec = opts.vec;
+  }
+  switch (kind) {
+    case QueryKind::kBfs:
+    case QueryKind::kReachability:
+      k.direction = opts.direction;
+      if (opts.direction == Direction::kOptimal)
+        k.pull_alpha = opts.pull_alpha;
+      break;
+    case QueryKind::kSssp:
+      k.use_priority_queue = opts.use_priority_queue;
+      if (opts.use_priority_queue) k.delta = opts.delta;
+      break;
+    case QueryKind::kPagerank:
+      k.epsilon = opts.epsilon;
+      k.max_iterations = opts.max_iterations;
+      break;
+    case QueryKind::kBcForward:  // the shared batched fields only
+    case QueryKind::kCc:         // reads no option
+      break;
   }
   return k;
 }
@@ -263,14 +275,12 @@ struct ServingCacheKeyHash {
     mix(static_cast<std::size_t>(k.kind));
     mix(static_cast<std::size_t>(k.source));
     mix(static_cast<std::size_t>(k.opts.strategy));
-    mix(static_cast<std::size_t>(k.opts.direction));
     mix(k.opts.lb_node_edge_threshold);
+    mix(static_cast<std::size_t>(k.opts.vec));
+    mix(static_cast<std::size_t>(k.opts.direction));
     mix(std::hash<double>{}(k.opts.pull_alpha));
-    mix(std::hash<double>{}(k.opts.pull_beta));
     mix(static_cast<std::size_t>(k.opts.use_priority_queue));
     mix(k.opts.delta);
-    mix(static_cast<std::size_t>(k.opts.vec));
-    mix(std::hash<double>{}(k.opts.damping));
     mix(std::hash<double>{}(k.opts.epsilon));
     mix(k.opts.max_iterations);
     return h;
@@ -331,11 +341,10 @@ class QueryTicket {
 /// QueryOptions::cache = false.
 struct ResultCacheOptions {
   bool enabled = false;
-  /// Global LRU entry bound, split across shards. Each entry holds one
-  /// per-vertex result vector, so budget ~ max_entries * n * 4 bytes.
+  /// Global LRU entry bound, split across the cache's lock shards. Each
+  /// entry holds one per-vertex result vector, so budget ~ max_entries *
+  /// n * 4 bytes.
   std::uint32_t max_entries = 4096;
-  /// Lock shards for the LRU + singleflight maps.
-  std::uint32_t shards = 8;
 };
 
 /// What submit() does when the bounded queue is full.
@@ -349,10 +358,8 @@ struct ServerOptions {
   /// hardware thread (at least 1).
   std::uint32_t num_workers = 0;
   /// Master switch for the batch coalescer. Off: every query runs solo.
+  /// A fused enact carries at most Server::kMaxBatch lanes.
   bool coalesce = true;
-  /// Lane cap per fused enact. 64 (one lane-mask word per vertex) is the
-  /// sweet spot; capped at BatchEnactor::kMaxLanes.
-  std::uint32_t max_batch = 64;
   /// How long a worker holding a partial batch waits for more
   /// fuse-compatible arrivals, in microseconds. 0 = drain-only: fuse
   /// whatever is already queued, never delay a query. A member deadline
@@ -457,6 +464,11 @@ struct ServerStats {
 
 class Server {
  public:
+  /// Lane cap per fused enact: 64 lanes fill exactly one lane-mask word
+  /// per vertex, the sweet spot (at most BatchEnactor::kMaxLanes).
+  static constexpr std::uint32_t kMaxBatch = 64;
+  static_assert(kMaxBatch <= BatchEnactor::kMaxLanes);
+
   /// Binds the pool to `g` (captured by reference; must outlive the
   /// server) and starts the workers. SSSP submissions require a weighted
   /// graph and PageRank submissions a symmetric one (it gathers over
@@ -537,7 +549,7 @@ class Server {
   void worker_main(Worker& w);
   void worker_loop(Worker& w);
   /// Moves every queued request fuse-compatible with `batch.front()` into
-  /// `batch` (up to max_batch). On a dynamic server the graph epoch joins
+  /// `batch` (up to kMaxBatch). On a dynamic server the graph epoch joins
   /// the fuse-compat key: if the graph moved past the batch's pinned
   /// epoch, draining stops (counted in ServerStats::epoch_fuse_splits) —
   /// fused members always share one snapshot, and a query is never fused

@@ -54,6 +54,11 @@ enum class Direction : std::uint8_t { kPush, kPull, kOptimal };
 const char* to_string(AdvanceStrategy s);
 const char* to_string(Direction d);
 
+/// Direction-optimal pull->push switch (Beamer et al.): back to push once
+/// the frontier is shrinking and smaller than |V|/kPullBeta. Shared by the
+/// single-query advance and the batched traversal.
+inline constexpr double kPullBeta = 24.0;
+
 struct AdvanceConfig {
   AdvanceStrategy strategy = AdvanceStrategy::kAuto;
   Direction direction = Direction::kPush;
@@ -65,9 +70,9 @@ struct AdvanceConfig {
   /// above it, over edges. "Setting this threshold to 4096 yields
   /// consistent high performance across all Gunrock-provided primitives."
   std::uint32_t lb_node_edge_threshold = 4096;
-  /// Direction-optimal switch parameters (Beamer et al.).
+  /// Direction-optimal push->pull switch (Beamer et al.): pull once the
+  /// frontier's edge volume exceeds |E|/pull_alpha.
   double pull_alpha = 14.0;
-  double pull_beta = 24.0;
   /// TWC size-class boundaries (paper Figure 4: 32 and 256).
   std::uint32_t twc_warp_threshold = 32;
   std::uint32_t twc_cta_threshold = 256;
@@ -559,7 +564,7 @@ AdvanceStats advance(simt::Device& dev, const Csr& g, const Frontier& in,
   if (dir == Direction::kOptimal) {
     if constexpr (PullableFunctor<F, P>) {
       const double beta_cut =
-          static_cast<double>(g.num_vertices()) / cfg.pull_beta;
+          static_cast<double>(g.num_vertices()) / kPullBeta;
       if (!ws.pulling) {
         // The push->pull switch needs m_f; push is the likely outcome, so
         // run the full gather now and reuse it for the push strategies —

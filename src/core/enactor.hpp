@@ -12,6 +12,7 @@
 #include "core/cancel.hpp"
 #include "core/filter.hpp"
 #include "core/frontier.hpp"
+#include "core/query_options.hpp"
 #include "simt/device.hpp"
 #include "util/timer.hpp"
 
@@ -57,21 +58,13 @@ class EnactorBase {
   /// paper's primitives all converge to an empty frontier).
   static constexpr std::uint32_t kMaxIterations = 100000;
 
-  /// Arms cooperative cancellation/deadline for subsequent enactments:
-  /// every iteration loop calls check_cancel() between BSP rounds, so a
-  /// tripped token stops the enact with CancelledError /
-  /// DeadlineExceededError at the next round boundary. Pooled state is
-  /// left as-is for the next begin_enact() to reset — a cancelled
-  /// enactor is immediately reusable and still allocation-free once
-  /// warm. Sticky until replaced; the inert default token costs one
-  /// branch per round. The Engine re-arms this from QueryOptions::cancel
-  /// on every query.
-  void set_cancel(CancelToken token) { cancel_ = std::move(token); }
-
  protected:
   /// The between-rounds checkpoint: fault hook first (deterministic
   /// injection seam), then the typed stop throw. `round` is the 0-based
-  /// round about to run.
+  /// round about to run. A tripped token stops the enact with
+  /// CancelledError / DeadlineExceededError; pooled state is left as-is for
+  /// the next begin_enact() to reset, so a cancelled enactor is
+  /// immediately reusable and still allocation-free once warm.
   void check_cancel(std::uint32_t round) const { cancel_.checkpoint(round); }
   /// Generic iteration driver for operator programs (core/program.hpp):
   /// Problem-init, the convergence predicate, the per-iteration safety net,
@@ -80,7 +73,8 @@ class EnactorBase {
   /// the summary into `out` (capacity-reusing, for pooled result objects).
   /// Defined in core/program.hpp.
   template <typename Prog>
-  void enact_program(const Csr& g, Prog& prog, EnactSummary& out);
+  void enact_program(const Csr& g, const QueryOptions& opts, Prog& prog,
+                     EnactSummary& out);
 
   /// The driver's core loop without begin/finish bracketing, for enactors
   /// that run extra phases around the program (BC's backward sweep) or
@@ -88,12 +82,14 @@ class EnactorBase {
   /// Returns the sum of the recorded steps' edges_processed.
   template <typename Prog>
   std::uint64_t run_program(const Csr& g, Prog& prog);
-  /// Resets per-enactment state: device counters, the advance workspace's
-  /// sticky direction, and the filter history generation (so entries from a
-  /// previous enact() on this enactor can never cull vertices from a fresh
-  /// traversal). Pooled buffer capacity is deliberately retained — that is
-  /// what makes the steady-state advance/filter loop allocation-free.
-  void begin_enact() {
+  /// Resets per-enactment state: arms the cancel token from `opts.cancel`,
+  /// and resets device counters, the advance workspace's sticky direction,
+  /// and the filter history generation (so entries from a previous enact()
+  /// on this enactor can never cull vertices from a fresh traversal).
+  /// Pooled buffer capacity is deliberately retained — that is what makes
+  /// the steady-state advance/filter loop allocation-free.
+  void begin_enact(const QueryOptions& opts) {
+    cancel_ = opts.cancel;
     dev_.reset();
     log_.clear();
     // Round counts of racy primitives (CC hooking) vary with host
@@ -127,7 +123,7 @@ class EnactorBase {
   }
 
   simt::Device& dev_;
-  CancelToken cancel_;  ///< cooperative stop handle; inert by default
+  CancelToken cancel_;  ///< armed per enact from QueryOptions::cancel
   Frontier in_{FrontierKind::kVertex};
   Frontier out_{FrontierKind::kVertex};
   /// Post-filter staging frontier, pooled across iterations so the BSP loop

@@ -177,10 +177,10 @@ std::uint64_t EnactorBase::run_program(const Csr& g, Prog& prog) {
 }
 
 template <typename Prog>
-void EnactorBase::enact_program(const Csr& g, Prog& prog,
-                                EnactSummary& out) {
+void EnactorBase::enact_program(const Csr& g, const QueryOptions& opts,
+                                Prog& prog, EnactSummary& out) {
   Timer wall;
-  begin_enact();
+  begin_enact(opts);
   const std::uint64_t edges = run_program(g, prog);
   finish_into(out, edges, wall.elapsed_ms());
 }

@@ -259,7 +259,7 @@ struct BatchBcForwardFunctor {
 constexpr std::uint32_t kUnclaimed = 0xdeadbeefu;
 
 /// Below this many vertices the batched SSSP auto heuristic leaves the
-/// per-lane priority schedule off (see the sizing comment in sssp()).
+/// per-lane priority schedule off (see batch_scale_delta).
 constexpr VertexId kMinPriorityVertices = 4096;
 
 constexpr std::uint32_t kMaxWpv =
@@ -433,17 +433,14 @@ std::uint64_t batch_pull_step(simt::Device& dev, const Csr& g,
 
 /// Beamer-style sticky direction state for the batched BFS-like loops:
 /// switch to pull when the union frontier's edge volume crosses |E|/alpha,
-/// back to push when the frontier is small and shrinking. Thresholds come
-/// from BatchOptions (same defaults as AdvanceConfig's single-query
-/// switch).
+/// back to push when the frontier is small and shrinking. Same thresholds
+/// as the single-query switch: QueryOptions::pull_alpha and kPullBeta.
 struct BatchDirection {
-  double alpha = 14.0;
-  double beta = 24.0;
+  double alpha;
   bool pulling = false;
   std::size_t prev_size = 0;
 
-  explicit BatchDirection(const BatchOptions& opts)
-      : alpha(opts.pull_alpha), beta(opts.pull_beta) {}
+  explicit BatchDirection(const QueryOptions& opts) : alpha(opts.pull_alpha) {}
 
   /// Decides this iteration's direction. The push->pull entry check needs
   /// the frontier's edge volume, so it runs the full degree gather through
@@ -462,7 +459,7 @@ struct BatchDirection {
     if (pulling) {
       // The pull->push exit reads only frontier sizes.
       if (static_cast<double>(frontier.size()) <
-              static_cast<double>(g.num_vertices()) / beta &&
+              static_cast<double>(g.num_vertices()) / kPullBeta &&
           frontier.size() < prev_size) {
         pulling = false;
       }
@@ -485,7 +482,7 @@ struct BatchDirection {
 /// frontier item carries up to `num_lanes` queries of work, so the
 /// per-item scan of edge-chunking amortizes at ~B-times smaller
 /// frontiers (and node chunks containing hubs serialize a whole CTA).
-AdvanceConfig batch_advance_config(const BatchOptions& opts,
+AdvanceConfig batch_advance_config(const QueryOptions& opts,
                                    std::uint32_t num_lanes) {
   AdvanceConfig acfg;
   acfg.strategy = opts.strategy;
@@ -551,8 +548,10 @@ void lane_sweep(simt::Device& dev, const std::vector<std::uint32_t>& fresh,
                });
 }
 
-}  // namespace
-
+/// Scales the single-query auto-delta (`sssp_auto_delta`) for a B-wide
+/// batch, applying the small-graph gate: 0 (schedule off) below
+/// kMinPriorityVertices or when the heuristic itself declines, else the
+/// per-lane band width the batched near/far schedule uses.
 std::uint32_t batch_scale_delta(std::uint32_t auto_delta,
                                 VertexId num_vertices, std::uint32_t b) {
   // Batch-aware sizing on top of the shared single-query heuristic: the
@@ -566,6 +565,8 @@ std::uint32_t batch_scale_delta(std::uint32_t auto_delta,
   if (num_vertices < kMinPriorityVertices || auto_delta == 0) return 0;
   return std::min(auto_delta, std::max(1u, auto_delta * 4 / b));
 }
+
+}  // namespace
 
 std::uint32_t BatchEnactor::seed(const Csr& g,
                                  std::span<const VertexId> sources) {
@@ -586,11 +587,11 @@ std::uint32_t BatchEnactor::seed(const Csr& g,
 }
 
 std::uint64_t BatchEnactor::traverse_lanes(const Csr& g,
-                                           const BatchOptions& opts,
+                                           const QueryOptions& opts,
                                            std::uint32_t* depth,
                                            std::uint32_t num_lanes) {
   const std::uint32_t wpv = lanes_.cur.words_per_vertex();
-  const simt::VecBackend vb = simt::resolve_backend(opts.backend.vec);
+  const simt::VecBackend vb = simt::resolve_backend(opts.vec);
 
   BatchBfsProblem p;
   p.cur = &lanes_.cur;
@@ -648,21 +649,21 @@ std::uint64_t BatchEnactor::traverse_lanes(const Csr& g,
 
 BatchBfsResult BatchEnactor::bfs(const Csr& g,
                                  std::span<const VertexId> sources,
-                                 const BatchOptions& opts) {
+                                 const QueryOptions& opts) {
   BatchBfsResult res;
   bfs(g, sources, opts, res);
   return res;
 }
 
 void BatchEnactor::bfs(const Csr& g, std::span<const VertexId> sources,
-                       const BatchOptions& opts, BatchBfsResult& res) {
+                       const QueryOptions& opts, BatchBfsResult& res) {
   Timer wall;
-  begin_enact();
+  begin_enact(opts);
   const std::uint32_t b = seed(g, sources);
   visited_.reset(g.num_vertices(), b);
 
   res.num_lanes = b;
-  res.backend = simt::resolve_backend(opts.backend.vec);
+  res.backend = simt::resolve_backend(opts.vec);
   res.depth.assign(static_cast<std::size_t>(g.num_vertices()) * b,
                    kInfinity);
   for (std::uint32_t q = 0; q < b; ++q) {
@@ -677,17 +678,17 @@ void BatchEnactor::bfs(const Csr& g, std::span<const VertexId> sources,
 
 BatchSsspResult BatchEnactor::sssp(const Csr& g,
                                    std::span<const VertexId> sources,
-                                   const BatchOptions& opts) {
+                                   const QueryOptions& opts) {
   BatchSsspResult res;
   sssp(g, sources, opts, res);
   return res;
 }
 
 void BatchEnactor::sssp(const Csr& g, std::span<const VertexId> sources,
-                        const BatchOptions& opts, BatchSsspResult& res) {
+                        const QueryOptions& opts, BatchSsspResult& res) {
   GRX_CHECK_MSG(g.has_weights(), "batched SSSP requires edge weights");
   Timer wall;
-  begin_enact();
+  begin_enact(opts);
   const std::uint32_t b = seed(g, sources);
   const std::uint32_t wpv = lanes_.cur.words_per_vertex();
 
@@ -695,7 +696,7 @@ void BatchEnactor::sssp(const Csr& g, std::span<const VertexId> sources,
   if (opts.use_priority_queue && delta == 0)
     delta = batch_scale_delta(sssp_auto_delta(g), g.num_vertices(), b);
   if (!opts.use_priority_queue) delta = 0;
-  const simt::VecBackend vb = simt::resolve_backend(opts.backend.vec);
+  const simt::VecBackend vb = simt::resolve_backend(opts.vec);
   pq_.begin(g.num_vertices(), b, delta, vb);
 
   res.num_lanes = b;
@@ -795,7 +796,7 @@ void BatchEnactor::sssp(const Csr& g, std::span<const VertexId> sources,
 
 BatchReachabilityResult BatchEnactor::reachability(
     const Csr& g, std::span<const VertexId> sources,
-    const BatchOptions& opts) {
+    const QueryOptions& opts) {
   BatchReachabilityResult res;
   reachability(g, sources, opts, res);
   return res;
@@ -803,10 +804,10 @@ BatchReachabilityResult BatchEnactor::reachability(
 
 void BatchEnactor::reachability(const Csr& g,
                                 std::span<const VertexId> sources,
-                                const BatchOptions& opts,
+                                const QueryOptions& opts,
                                 BatchReachabilityResult& res) {
   Timer wall;
-  begin_enact();
+  begin_enact(opts);
   const std::uint32_t b = seed(g, sources);
   visited_.reset(g.num_vertices(), b);
   for (std::uint32_t q = 0; q < b; ++q) visited_.set(sources[q], q);
@@ -815,7 +816,7 @@ void BatchEnactor::reachability(const Csr& g,
   const std::uint64_t edges = traverse_lanes(g, opts, /*depth=*/nullptr, b);
 
   res.num_lanes = b;
-  res.backend = simt::resolve_backend(opts.backend.vec);
+  res.backend = simt::resolve_backend(opts.vec);
   res.visited.reset(g.num_vertices(), b);
   res.visited.swap(visited_);
   finish_into(res.summary, edges, wall.elapsed_ms());
@@ -823,7 +824,7 @@ void BatchEnactor::reachability(const Csr& g,
 
 BatchBcForwardResult BatchEnactor::bc_forward(
     const Csr& g, std::span<const VertexId> sources,
-    const BatchOptions& opts) {
+    const QueryOptions& opts) {
   BatchBcForwardResult res;
   bc_forward(g, sources, opts, res);
   return res;
@@ -831,14 +832,14 @@ BatchBcForwardResult BatchEnactor::bc_forward(
 
 void BatchEnactor::bc_forward(const Csr& g,
                               std::span<const VertexId> sources,
-                              const BatchOptions& opts,
+                              const QueryOptions& opts,
                               BatchBcForwardResult& res) {
   Timer wall;
-  begin_enact();
+  begin_enact(opts);
   const std::uint32_t b = seed(g, sources);
   const std::uint32_t wpv = lanes_.cur.words_per_vertex();
   visited_.reset(g.num_vertices(), b);
-  const simt::VecBackend vb = simt::resolve_backend(opts.backend.vec);
+  const simt::VecBackend vb = simt::resolve_backend(opts.vec);
 
   res.num_lanes = b;
   res.backend = vb;

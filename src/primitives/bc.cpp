@@ -48,7 +48,7 @@ struct BackwardFunctor {
 /// frontier into the per-level store for the backward pass.
 struct BcForwardProgram {
   BcProblem& p;
-  const BcOptions& opts;
+  const QueryOptions& opts;
   VertexId source;
   std::vector<std::vector<std::uint32_t>>& levels;
   std::uint32_t& num_levels;
@@ -92,11 +92,11 @@ struct BcForwardProgram {
 
 }  // namespace
 
-void BcEnactor::enact(const Csr& g, VertexId source, const BcOptions& opts,
+void BcEnactor::enact(const Csr& g, VertexId source, const QueryOptions& opts,
                       BcResult& out) {
   GRX_CHECK_MSG(source < g.num_vertices(), "BC source out of range");
   Timer wall;
-  begin_enact();
+  begin_enact(opts);
 
   BcForwardProgram prog{problem_, opts, source, levels_, num_levels_,
                         {},       {}};
@@ -134,9 +134,9 @@ void BcEnactor::enact(const Csr& g, VertexId source, const BcOptions& opts,
 void BcEnactor::backward_accumulate(const Csr& g,
                                     const BatchBcForwardResult& fwd,
                                     std::uint32_t lane, VertexId source,
-                                    const BcOptions& opts,
+                                    const QueryOptions& opts,
                                     std::vector<double>& acc) {
-  begin_enact();
+  begin_enact(opts);
   const std::uint32_t b = fwd.num_lanes;
   // All scratch (problem slices, level buckets, the level frontier) is
   // pooled in the enactor: across the B lanes of a batch only the first

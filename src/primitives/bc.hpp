@@ -13,10 +13,6 @@ namespace grx {
 
 struct BatchBcForwardResult;  // core/batch_enactor.hpp
 
-struct BcOptions {
-  AdvanceStrategy strategy = AdvanceStrategy::kAuto;
-};
-
 struct BcResult {
   std::vector<double> bc_values;   ///< per-vertex centrality (one source)
   std::vector<double> sigma;       ///< shortest-path counts
@@ -42,7 +38,7 @@ class BcEnactor : public EnactorBase {
  public:
   using EnactorBase::EnactorBase;
 
-  void enact(const Csr& g, VertexId source, const BcOptions& opts,
+  void enact(const Csr& g, VertexId source, const QueryOptions& opts,
              BcResult& out);
 
   /// Backward half of source-batched BC: reconstructs lane `lane`'s
@@ -52,7 +48,7 @@ class BcEnactor : public EnactorBase {
   /// batched forward produces the identical depth/sigma per lane.
   void backward_accumulate(const Csr& g, const BatchBcForwardResult& fwd,
                            std::uint32_t lane, VertexId source,
-                           const BcOptions& opts, std::vector<double>& acc);
+                           const QueryOptions& opts, std::vector<double>& acc);
 
  private:
   BcProblem problem_;

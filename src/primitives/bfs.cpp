@@ -46,7 +46,7 @@ struct AtomicFunctor {
 template <typename F>
 struct BfsProgram {
   BfsProblem& p;
-  const BfsOptions& opts;
+  const QueryOptions& opts;
   VertexId source;
   AdvanceConfig acfg;
   FilterConfig fcfg;
@@ -68,7 +68,6 @@ struct BfsProgram {
     acfg.idempotent = opts.idempotent;
     acfg.lb_node_edge_threshold = opts.lb_node_edge_threshold;
     acfg.pull_alpha = opts.pull_alpha;
-    acfg.pull_beta = opts.pull_beta;
     fcfg.dedup_heuristic = opts.idempotent;
     // Clamp the history table to cover |V| when the graph is small: same
     // memory ceiling as Gunrock's 64K default, but slot v holds exactly v,
@@ -96,15 +95,15 @@ struct BfsProgram {
 
 }  // namespace
 
-void BfsEnactor::enact(const Csr& g, VertexId source, const BfsOptions& opts,
+void BfsEnactor::enact(const Csr& g, VertexId source, const QueryOptions& opts,
                        BfsResult& out) {
   GRX_CHECK_MSG(source < g.num_vertices(), "BFS source out of range");
   if (opts.idempotent) {
     BfsProgram<IdempotentFunctor> prog{problem_, opts, source, {}, {}};
-    enact_program(g, prog, out.summary);
+    enact_program(g, opts, prog, out.summary);
   } else {
     BfsProgram<AtomicFunctor> prog{problem_, opts, source, {}, {}};
-    enact_program(g, prog, out.summary);
+    enact_program(g, opts, prog, out.summary);
   }
   out.depth = problem_.depth;
   out.pred = problem_.pred;

@@ -107,9 +107,10 @@ struct CcProgram {
 
 }  // namespace
 
-void CcEnactor::enact(const Csr& g, CcResult& out) {
+void CcEnactor::enact(const Csr& g, const QueryOptions& opts,
+                      CcResult& out) {
   Timer wall;
-  begin_enact();
+  begin_enact(opts);
   CcProgram prog{problem_, edge_frontier_, next_edges_, vf_, nvf_};
   const std::uint64_t hook_work = run_program(g, prog);
 

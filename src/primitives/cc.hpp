@@ -37,7 +37,7 @@ class CcEnactor : public EnactorBase {
  public:
   using EnactorBase::EnactorBase;
 
-  void enact(const Csr& g, CcResult& out);
+  void enact(const Csr& g, const QueryOptions& opts, CcResult& out);
 
  private:
   CcProblem problem_;

@@ -33,7 +33,9 @@ class ColoringEnactor : public EnactorBase {
  public:
   using EnactorBase::EnactorBase;
 
-  void enact(const Csr& g, std::uint64_t seed, ColoringResult& out);
+  /// Jones-Plassmann coloring drawing per-round priorities from
+  /// `opts.seed`.
+  void enact(const Csr& g, const QueryOptions& opts, ColoringResult& out);
 
  private:
   ColorProblem problem_;

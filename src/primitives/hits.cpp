@@ -9,6 +9,9 @@
 namespace grx {
 namespace {
 
+/// Fixed power-iteration count (no convergence test).
+constexpr std::uint32_t kIterations = 30;
+
 void l2_normalize(simt::Device& dev, std::vector<double>& xs) {
   double ss = 0.0;
   for (double x : xs) ss += x * x;
@@ -25,7 +28,6 @@ struct HitsProgram {
   HitsProblem& p;
   std::vector<double>& scratch;
   const Csr& gT;
-  const HitsOptions& opts;
   std::uint32_t it = 0;
 
   void init(OpContext& c) {
@@ -36,7 +38,7 @@ struct HitsProgram {
     c.frontier().assign_iota(n);
   }
 
-  bool converged(OpContext&) { return it >= opts.iterations; }
+  bool converged(OpContext&) { return it >= kIterations; }
 
   IterationStats step(OpContext& c) {
     const Csr& g = c.graph();
@@ -71,12 +73,12 @@ struct HitsProgram {
 
 }  // namespace
 
-void HitsEnactor::enact(const Csr& g, const Csr& gT, const HitsOptions& opts,
+void HitsEnactor::enact(const Csr& g, const Csr& gT, const QueryOptions& opts,
                         HitsResult& out) {
   GRX_CHECK(g.num_vertices() == gT.num_vertices());
   GRX_CHECK(g.num_vertices() > 0);
-  HitsProgram prog{problem_, scratch_, gT, opts};
-  enact_program(g, prog, out.summary);
+  HitsProgram prog{problem_, scratch_, gT};
+  enact_program(g, opts, prog, out.summary);
   out.hub = problem_.hub;
   out.authority = problem_.auth;
 }

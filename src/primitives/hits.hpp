@@ -14,10 +14,6 @@
 
 namespace grx {
 
-struct HitsOptions {
-  std::uint32_t iterations = 30;
-};
-
 struct HitsResult {
   std::vector<double> hub;        ///< L2-normalized hub scores
   std::vector<double> authority;  ///< L2-normalized authority scores
@@ -37,7 +33,7 @@ class HitsEnactor : public EnactorBase {
 
   /// Runs HITS on `g` (directed or undirected CSR; `gT` must be the
   /// transpose — pass the same graph for undirected inputs).
-  void enact(const Csr& g, const Csr& gT, const HitsOptions& opts,
+  void enact(const Csr& g, const Csr& gT, const QueryOptions& opts,
              HitsResult& out);
 
  private:

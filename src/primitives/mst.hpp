@@ -49,7 +49,7 @@ class MstEnactor : public EnactorBase {
   /// Computes a minimum spanning forest of the undirected weighted
   /// graph. Ties are broken by edge id, so the result is deterministic;
   /// the total weight equals that of every MSF of the graph.
-  void enact(const Csr& g, MstResult& out);
+  void enact(const Csr& g, const QueryOptions& opts, MstResult& out);
 
  private:
   MstProblem problem_;

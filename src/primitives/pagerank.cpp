@@ -9,6 +9,9 @@
 namespace grx {
 namespace {
 
+/// The random-surfer damping factor (the paper's and every baseline's 0.85).
+constexpr double kDamping = 0.85;
+
 /// Filter: keep vertices that have not converged.
 struct PruneFunctor {
   static bool cond_vertex(VertexId v, PrProblem& p) { return !p.converged[v]; }
@@ -20,7 +23,7 @@ struct PruneFunctor {
 struct PrProgram {
   PrProblem& p;
   const Csr& gT;
-  const PagerankOptions& opts;
+  const QueryOptions& opts;
   FilterConfig fcfg;
   std::uint32_t iter = 0;
 
@@ -49,7 +52,7 @@ struct PrProgram {
       if (g.degree(v) == 0) dangling += p.rank[v];
     c.dev().charge_pass("pr_dangling", n, simt::CostModel::kCoalesced);
     const double base =
-        (1.0 - opts.damping) / n + opts.damping * dangling / n;
+        (1.0 - kDamping) / n + kDamping * dangling / n;
 
     // What each active vertex sends along every out-edge this round.
     c.compute(p, [&](std::uint32_t v, PrProblem& prob) {
@@ -72,7 +75,7 @@ struct PrProgram {
                   [&](std::uint32_t i, PrProblem& prob) {
                     const VertexId v = items[i];
                     const double next =
-                        base + opts.damping * prob.gathered[i];
+                        base + kDamping * prob.gathered[i];
                     if (prob.epsilon > 0.0 &&
                         std::abs(next - prob.rank[v]) <
                             prob.epsilon * (1.0 / n))
@@ -100,13 +103,13 @@ struct PrProgram {
 
 }  // namespace
 
-void PrEnactor::enact(const Csr& g, const Csr& gT, const PagerankOptions& opts,
+void PrEnactor::enact(const Csr& g, const Csr& gT, const QueryOptions& opts,
                       PagerankResult& out) {
   GRX_CHECK(g.num_vertices() > 0);
   GRX_CHECK(g.num_vertices() == gT.num_vertices());
   GRX_CHECK(g.num_edges() == gT.num_edges());
   PrProgram prog{problem_, gT, opts, {}};
-  enact_program(g, prog, out.summary);
+  enact_program(g, opts, prog, out.summary);
   out.rank = problem_.rank;
 }
 

@@ -9,16 +9,6 @@
 
 namespace grx {
 
-struct PagerankOptions {
-  double damping = 0.85;
-  /// Per-vertex convergence threshold for frontier pruning. 0 disables
-  /// pruning (every vertex iterates to max_iterations — the mode used for
-  /// oracle comparison and for per-iteration timing, as in Table 3 where
-  /// "all PageRank times are normalized to one iteration").
-  double epsilon = 1e-6;
-  std::uint32_t max_iterations = 50;
-};
-
 struct PagerankResult {
   std::vector<double> rank;  ///< sums to 1 over all vertices
   EnactSummary summary;
@@ -48,7 +38,7 @@ class PrEnactor : public EnactorBase {
 
   /// Runs PageRank on `g`; `gT` must be its transpose (pass `g` itself for
   /// a symmetric graph).
-  void enact(const Csr& g, const Csr& gT, const PagerankOptions& opts,
+  void enact(const Csr& g, const Csr& gT, const QueryOptions& opts,
              PagerankResult& out);
 
  private:

@@ -6,6 +6,9 @@
 namespace grx {
 namespace {
 
+/// Fixed random-walk iteration count (no convergence test).
+constexpr std::uint32_t kIterations = 30;
+
 void l1_normalize(simt::Device& dev, std::vector<double>& xs) {
   double total = 0.0;
   for (double x : xs) total += x;
@@ -23,7 +26,6 @@ struct SalsaProgram {
   SalsaProblem& p;
   std::vector<double>& scratch;
   const Csr& gT;
-  const SalsaOptions& opts;
   std::uint32_t it = 0;
 
   void init(OpContext& c) {
@@ -44,7 +46,7 @@ struct SalsaProgram {
     c.frontier().assign_iota(n);
   }
 
-  bool converged(OpContext&) { return it >= opts.iterations; }
+  bool converged(OpContext&) { return it >= kIterations; }
 
   IterationStats step(OpContext& c) {
     const Csr& g = c.graph();
@@ -81,11 +83,11 @@ struct SalsaProgram {
 }  // namespace
 
 void SalsaEnactor::enact(const Csr& g, const Csr& gT,
-                         const SalsaOptions& opts, SalsaResult& out) {
+                         const QueryOptions& opts, SalsaResult& out) {
   GRX_CHECK(g.num_vertices() == gT.num_vertices());
   GRX_CHECK(g.num_vertices() > 0);
-  SalsaProgram prog{problem_, scratch_, gT, opts};
-  enact_program(g, prog, out.summary);
+  SalsaProgram prog{problem_, scratch_, gT};
+  enact_program(g, opts, prog, out.summary);
   out.hub = problem_.hub;
   out.authority = problem_.auth;
 }

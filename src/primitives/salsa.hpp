@@ -16,10 +16,6 @@
 
 namespace grx {
 
-struct SalsaOptions {
-  std::uint32_t iterations = 30;
-};
-
 struct SalsaResult {
   std::vector<double> hub;        ///< L1-normalized hub scores
   std::vector<double> authority;  ///< L1-normalized authority scores
@@ -42,7 +38,7 @@ class SalsaEnactor : public EnactorBase {
   /// Runs SALSA on directed `g` with transpose `gT` (pass g twice for
   /// undirected graphs). Vertices with no out-edges have hub score 0;
   /// with no in-edges, authority 0.
-  void enact(const Csr& g, const Csr& gT, const SalsaOptions& opts,
+  void enact(const Csr& g, const Csr& gT, const QueryOptions& opts,
              SalsaResult& out);
 
  private:

@@ -41,7 +41,7 @@ struct RelaxFunctor {
 struct SsspProgram {
   SsspProblem& p;
   PriorityFrontier& pq;
-  const SsspOptions& opts;
+  const QueryOptions& opts;
   VertexId source;
   AdvanceConfig acfg;
   FilterConfig fcfg;
@@ -123,11 +123,11 @@ struct SsspProgram {
 }  // namespace
 
 void SsspEnactor::enact(const Csr& g, VertexId source,
-                        const SsspOptions& opts, SsspResult& out) {
+                        const QueryOptions& opts, SsspResult& out) {
   GRX_CHECK_MSG(source < g.num_vertices(), "SSSP source out of range");
   GRX_CHECK_MSG(g.has_weights(), "SSSP requires edge weights");
   SsspProgram prog{problem_, pq_, opts, source, {}, {}};
-  enact_program(g, prog, out.summary);
+  enact_program(g, opts, prog, out.summary);
   out.dist = problem_.dist;
   out.pred = problem_.pred;
   out.pq_stats = pq_.stats();

@@ -13,15 +13,6 @@
 
 namespace grx {
 
-struct SsspOptions {
-  AdvanceStrategy strategy = AdvanceStrategy::kAuto;
-  /// Enable the near/far priority queue. 0 delta means "auto": the paper's
-  /// weights are uniform in [1, 64]; delta defaults to avg weight x avg
-  /// degree, the standard delta-stepping sizing (sssp_auto_delta).
-  bool use_priority_queue = true;
-  std::uint32_t delta = 0;
-};
-
 struct SsspResult {
   std::vector<std::uint32_t> dist;  ///< kInfinity where unreachable
   std::vector<VertexId> pred;
@@ -59,7 +50,7 @@ class SsspEnactor : public EnactorBase {
  public:
   using EnactorBase::EnactorBase;
 
-  void enact(const Csr& g, VertexId source, const SsspOptions& opts,
+  void enact(const Csr& g, VertexId source, const QueryOptions& opts,
              SsspResult& out);
 
  private:

@@ -4,8 +4,9 @@
 // lint MUST report; the self-test fails on any miss AND on any extra
 // finding, so this file also pins down what the lint must NOT flag (the
 // "clean" section at the bottom). The self-test runs this file as if it
-// were simultaneously an enact-path file, a lane-matrix file, and outside
-// the seam directories — every rule armed at once.
+// were simultaneously an enact-path file, a lane-matrix file, a cache
+// file, a src/core/ or src/primitives/ file, and outside the seam
+// directories — every rule armed at once.
 //
 // This file is never compiled; it only needs to look like C++.
 #include <atomic>
@@ -66,7 +67,18 @@ struct CacheEntryFixture {
   LaneMatrix* engine_buffer = nullptr;                  // lint-expect: cache-immutable
 };
 
+struct BfsOptions {                                    // lint-expect: options-struct
+  bool idempotent = true;
+};
+struct BatchOptions;                                   // lint-expect: options-struct
+
 // ---- clean section: none of this may be flagged -----------------------------
+
+// The one options type, and names that merely end in "Options".
+struct QueryOptions {
+  bool cache = true;
+};
+inline void takes_options(const QueryOptions&) {}
 
 struct CleanCacheEntry {
   // The blessed shape: an immutable snapshot that owns its bytes.

@@ -228,7 +228,7 @@ TEST(Batch, EnactorReuseMatchesFresh) {
   // enactment on a reused enactor (different batch size, different
   // primitive) equals a fresh Engine's.
   const Csr g = testing::undirected(rmat(10, 16, 5));
-  BatchOptions bopts;
+  QueryOptions bopts;
   bopts.direction = Direction::kOptimal;
   simt::Device dev;
   BatchEnactor reused(dev);

@@ -488,7 +488,7 @@ TEST(Determinism, BatchResultsIdenticalAcrossVecBackends) {
     QueryOptions sopts;
     sopts.direction = Direction::kOptimal;  // exercise the batch pull step
     sopts.delta = 16;                       // and the claim-split/wake path
-    sopts.backend.vec = simt::VecBackend::kScalar;
+    sopts.vec = simt::VecBackend::kScalar;
     const BatchBfsResult bfs_ref = eng.batch_bfs(sources, sopts);
     const BatchSsspResult sssp_ref = eng.batch_sssp(sources, sopts);
     const BatchReachabilityResult reach_ref =
@@ -497,7 +497,7 @@ TEST(Determinism, BatchResultsIdenticalAcrossVecBackends) {
     ASSERT_EQ(bfs_ref.backend, simt::VecBackend::kScalar);
     for (const simt::VecBackend req : kVecRequests) {
       QueryOptions o = sopts;
-      o.backend.vec = req;
+      o.vec = req;
       const BatchBfsResult bfs = eng.batch_bfs(sources, o);
       EXPECT_EQ(bfs.backend, simt::resolve_backend(req)) << to_string(req);
       EXPECT_EQ(bfs.depth, bfs_ref.depth) << to_string(req);

@@ -404,10 +404,11 @@ TEST(EngineRebind, ServesTheNewGraphAfterRebind) {
 }
 
 TEST(EngineRebind, AutoDeltaRecomputedAfterRebind) {
-  // The Engine caches sssp_auto_delta per graph shape. After a rebind to a
-  // different-shape graph, a batched SSSP must run with the delta a fresh
-  // enactor would derive for the *new* graph — a stale cached value would
-  // silently change the near/far schedule across epochs.
+  // The batched SSSP enactor resolves the auto delta from the graph it is
+  // handed on every enact. After a rebind to a different-shape graph, a
+  // batched SSSP must run with the delta a fresh engine derives for the
+  // *new* graph — a delta carried over from the old graph would silently
+  // change the near/far schedule across epochs.
   const Csr& small = grx::testing::power_law_serving_graph(9);   // below the
   // 4096-vertex batch gate: schedule off (delta 0)
   const Csr& big = grx::testing::power_law_serving_graph(12);    // gate open

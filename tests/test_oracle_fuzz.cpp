@@ -202,7 +202,7 @@ TEST(OracleFuzz, BatchedBfsMatchesSerialEveryLane) {
       for (const simt::VecBackend vb :
            {simt::VecBackend::kAuto, simt::VecBackend::kScalar}) {
         QueryOptions bopts;
-        bopts.backend.vec = vb;
+        bopts.vec = vb;
         runs.push_back(eng.batch_bfs(sources, bopts));  // push
         if (c.symmetric) {
           bopts.direction = Direction::kOptimal;
@@ -234,7 +234,7 @@ TEST(OracleFuzz, BatchedSsspMatchesDijkstraEveryLane) {
       // Scalar-forced near/far arm: the vector and reference lane kernels
       // sweep the same hostile shapes.
       QueryOptions forced_scalar = forced;
-      forced_scalar.backend.vec = simt::VecBackend::kScalar;
+      forced_scalar.vec = simt::VecBackend::kScalar;
       for (const QueryOptions& o : {auto_pq, forced, off, forced_scalar}) {
         const BatchSsspResult run = eng.batch_sssp(sources, o);
         for (std::uint32_t q = 0; q < sources.size(); ++q) {
@@ -754,7 +754,7 @@ TEST(OracleFuzz, MultiWordBatchMatchesSerialEveryLane) {
   // Multi-word backend parity: the forced-scalar run must be byte-equal —
   // distances, per-lane schedule stats, and probe-fed edge counts alike.
   QueryOptions forced_scalar = forced;
-  forced_scalar.backend.vec = simt::VecBackend::kScalar;
+  forced_scalar.vec = simt::VecBackend::kScalar;
   const BatchSsspResult sc = eng.batch_sssp(sources, forced_scalar);
   EXPECT_EQ(sc.dist, sssp.dist);
   EXPECT_EQ(sc.lane_stats, sssp.lane_stats);

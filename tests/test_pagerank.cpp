@@ -59,7 +59,7 @@ TEST(Pagerank, StarGraphClosedForm) {
   opts.epsilon = 0.0;
   opts.max_iterations = 200;
   const PagerankResult r = Engine(dev, g).pagerank(opts);
-  const double d = opts.damping;
+  const double d = 0.85;  // PageRank's damping factor
   // Fixed point: center = (1-d)/n + d * (sum of leaves), each leaf
   // = (1-d)/n + d * center/(n-1).
   const double leaf = (1.0 - d) / n * (1.0 + d) / (1.0 - d * d * 1.0);

@@ -168,7 +168,6 @@ TEST(ServerCoalescer, FusedBatchesDemuxToSoloBytes) {
   so.num_workers = 1;
   so.omp_threads_per_worker = 1;
   so.coalesce_window_us = 100000;  // 100 ms
-  so.max_batch = 64;
   Server server(g, so);
 
   Rng rng(7);
@@ -438,7 +437,7 @@ TEST(ServerCache, KeySeparatesSourceKindAndFuseOptions) {
   EXPECT_FALSE(server.submit_bfs(4).get().cached) << "different source";
   EXPECT_FALSE(server.submit_sssp(3).get().cached) << "different kind";
   QueryOptions scalar;
-  scalar.backend.vec = simt::VecBackend::kScalar;
+  scalar.vec = simt::VecBackend::kScalar;
   EXPECT_FALSE(server.submit_bfs(3, scalar).get().cached)
       << "different fuse-compat options";
   EXPECT_TRUE(server.submit_bfs(3).get().cached) << "exact key repeats hit";
@@ -549,6 +548,45 @@ TEST(ServerCoalescer, InBatchDuplicatesCollapseToOneLane) {
   EXPECT_EQ(s.max_lanes, 2u) << "4 members, 2 lanes";
   EXPECT_EQ(s.dedup_attached, 2u);
   EXPECT_EQ(s.queries_served, 4u);
+}
+
+TEST(ServerCache, BfsIgnoresSsspOnlyOptionsWhenFusingAndCaching) {
+  // BFS reads no SSSP knob, so two BFS requests differing only in delta
+  // fuse into one enact and share cache entries.
+  const Csr& g = serving_graph();
+  ServerOptions so = cached_options();
+  so.coalesce_window_us = 200000;  // one wide window catches the burst
+  Server server(g, so);
+  QueryOptions delta16;
+  delta16.delta = 16;
+
+  QueryTicket a = server.submit_bfs(7);
+  QueryTicket b = server.submit_bfs(9, delta16);
+  simt::Device dev;
+  Engine eng(dev, g);
+  const QueryResult want7 = oracle_result(eng, {QueryKind::kBfs, 7, {}});
+  const QueryResult want9 = oracle_result(eng, {QueryKind::kBfs, 9, {}});
+  const QueryResult ra = a.get();
+  const QueryResult rb = b.get();
+  EXPECT_EQ(ra.batch_lanes, 2u);
+  EXPECT_EQ(rb.batch_lanes, 2u);
+  expect_equal(ra, want7, "fused, default delta");
+  expect_equal(rb, want9, "fused, delta 16");
+
+  // The swapped deltas hit the entries the fused enact published.
+  const QueryResult hit7 = server.submit_bfs(7, delta16).get();
+  const QueryResult hit9 = server.submit_bfs(9).get();
+  EXPECT_TRUE(hit7.cached);
+  EXPECT_TRUE(hit9.cached);
+  expect_equal(hit7, want7, "hit, delta 16");
+  expect_equal(hit9, want9, "hit, default delta");
+
+  server.stop();
+  const ServerStats s = server.stats();
+  EXPECT_EQ(s.enacts, 1u);
+  EXPECT_EQ(s.max_lanes, 2u);
+  EXPECT_EQ(s.cache_hits, 2u);
+  EXPECT_EQ(s.cache_entries, 2u) << "one entry per source, not per delta";
 }
 
 TEST(ServerCache, SingleflightAttachedCancelLeavesOthersServed) {

@@ -9,8 +9,10 @@
 // docs/operators.md):
 //
 //  * PriorityFrontier — the single-query shape: the far pile is a plain
-//    vertex vector, split through the count -> scan -> scatter assembler
-//    (`split_near_far`), one global cutoff.
+//    vertex vector, one global cutoff. Each round's claim filter is fused
+//    into its split (`claim_split`); level re-splits of the far pile run
+//    `split_near_far`. Both emit through the count -> scan -> scatter
+//    assembler.
 //  * LanePriorityFrontier — the batched (MS-query) shape: near/far
 //    membership is a per-(vertex, lane) bit in LaneMatrix rows (mirroring
 //    core/batch_frontier.hpp), every lane owns an independent cutoff, and
@@ -57,17 +59,22 @@ struct SplitWorkspace {
   simt::ChunkedOutput far_stage;
 };
 
-/// Splits `items` by `is_near(item)`: near items to `near` (replaced), the
-/// rest appended to `far`. Two-phase assembly like advance/filter: each
-/// warp stages its near/far picks compactly, a scan places the slices, so
-/// both piles preserve input order regardless of thread count. Charged as a
-/// scan + two scatters (a GPU split-compaction).
-template <typename Fn>
-void split_near_far(simt::Device& dev, const std::vector<std::uint32_t>& items,
-                    std::vector<std::uint32_t>& near,
-                    std::vector<std::uint32_t>& far, Fn&& is_near,
-                    SplitWorkspace& ws,
-                    PriorityQueueStats* stats = nullptr) {
+namespace detail {
+
+enum class Pile : std::uint8_t { kNear, kFar, kDrop };
+
+/// The split kernel shared by split_near_far and the fused claim + split:
+/// `route(lane, item)` charges the lane and picks the item's pile. Near
+/// items replace `near`, far items are appended to `far`, dropped items
+/// go nowhere. Two-phase assembly like advance/filter: each warp stages
+/// its picks compactly, a scan places the slices, so both piles preserve
+/// input order regardless of thread count. Charged as one launch plus a
+/// scan and two scatters (a GPU split-compaction).
+template <typename RouteFn>
+void route_piles(simt::Device& dev, const std::vector<std::uint32_t>& items,
+                 std::vector<std::uint32_t>& near,
+                 std::vector<std::uint32_t>& far, RouteFn&& route,
+                 SplitWorkspace& ws, PriorityQueueStats* stats) {
   constexpr std::size_t kWarp = simt::CostModel::kWarpSize;
   const std::size_t num_warps = (items.size() + kWarp - 1) / kWarp;
   const std::size_t far_before = far.size();
@@ -80,10 +87,10 @@ void split_near_far(simt::Device& dev, const std::vector<std::uint32_t>& items,
       ws.near_stage.counts[warp] = 0;
       ws.far_stage.counts[warp] = 0;
     }
-    lane.load_coalesced();
-    lane.alu();
     const std::uint32_t v = items[i];
-    auto& stage = is_near(v) ? ws.near_stage : ws.far_stage;
+    const Pile pile = route(lane, v);
+    if (pile == Pile::kDrop) return;
+    auto& stage = pile == Pile::kNear ? ws.near_stage : ws.far_stage;
     stage.scratch[warp * kWarp + stage.counts[warp]++] = v;
   });
   simt::scatter_into(dev, ws.near_stage, num_warps, near,
@@ -96,6 +103,26 @@ void split_near_far(simt::Device& dev, const std::vector<std::uint32_t>& items,
     stats->near_total += near.size();
     stats->far_total += far.size() - far_before;
   }
+}
+
+}  // namespace detail
+
+/// Splits `items` by `is_near(item)`: near items to `near` (replaced), the
+/// rest appended to `far`, both in input order (detail::route_piles).
+template <typename Fn>
+void split_near_far(simt::Device& dev, const std::vector<std::uint32_t>& items,
+                    std::vector<std::uint32_t>& near,
+                    std::vector<std::uint32_t>& far, Fn&& is_near,
+                    SplitWorkspace& ws,
+                    PriorityQueueStats* stats = nullptr) {
+  detail::route_piles(
+      dev, items, near, far,
+      [&](simt::Lane& lane, std::uint32_t v) {
+        lane.load_coalesced();
+        lane.alu();
+        return is_near(v) ? detail::Pile::kNear : detail::Pile::kFar;
+      },
+      ws, stats);
 }
 
 /// Convenience overload with a one-shot workspace, for callers off the
@@ -134,18 +161,32 @@ class PriorityFrontier {
   std::uint64_t cutoff() const { return cutoff_; }
   const PriorityQueueStats& stats() const { return stats_; }
 
-  /// Splits the freshly filtered frontier: items with priority(v) below the
-  /// cutoff replace `near`; the rest join the far pile. The far pile is a
-  /// plain vector, so a vertex re-improved while deferred may appear twice —
-  /// re-splits consult the *current* priority, so stale entries promote (or
-  /// stay deferred) correctly and the downstream claim filter dedups them.
-  template <typename PriorityFn>
-  void split(simt::Device& dev, const std::vector<std::uint32_t>& items,
-             std::vector<std::uint32_t>& near, PriorityFn&& priority) {
-    split_near_far(
-        dev, items, near, far_,
-        [&](std::uint32_t v) { return priority(v) < cutoff_; }, ws_,
-        &stats_);
+  /// Fused claim + split over the *raw* advance output `raw` (duplicates
+  /// allowed), one launch in place of a filter pass and a split pass: each
+  /// item runs `claim(v)` (the caller's first-claim-of-(vertex, iteration)
+  /// test), and every winner with priority(v) below the cutoff goes to
+  /// `near` (replaced), the rest join the far pile. The far pile is a
+  /// plain vector, so a vertex re-improved while deferred may appear twice
+  /// — re-splits consult the *current* priority, so stale entries promote
+  /// (or stay deferred) correctly and the next claim dedups them. Piles are
+  /// emitted through the assembler, so their membership is a pure function
+  /// of the claim winners and the post-advance priorities.
+  template <typename ClaimFn, typename PriorityFn>
+  void claim_split(simt::Device& dev, const std::vector<std::uint32_t>& raw,
+                   std::vector<std::uint32_t>& near, ClaimFn&& claim,
+                   PriorityFn&& priority) {
+    detail::route_piles(
+        dev, raw, near, far_,
+        [&](simt::Lane& lane, std::uint32_t v) {
+          lane.load_coalesced();  // queue read
+          lane.load_scattered();  // claim-tag read/CAS
+          if (!claim(v)) return detail::Pile::kDrop;
+          lane.load_scattered();  // winner's priority read
+          lane.alu();             // cutoff compare
+          return priority(v) < cutoff_ ? detail::Pile::kNear
+                                       : detail::Pile::kFar;
+        },
+        ws_, &stats_);
   }
 
   /// Near pile drained: advance the priority level (cutoff += delta per

@@ -39,9 +39,10 @@ struct QueryOptions {
 
   // --- SSSP (single-source and batched) ---
   /// Enable the near/far priority schedule. 0 delta means "auto": the
-  /// shared sssp_auto_delta sizing (mean weight x avg degree; 0 on
-  /// low-degree graphs, leaving the schedule off), scaled by the batch
-  /// width for batched SSSP.
+  /// shared sssp_auto_delta sizing (from mean weight and avg degree; low-
+  /// degree graphs get a warp-wide bucket, only an edgeless graph stays
+  /// unsplit). Batched SSSP scales it by the batch width and leaves the
+  /// schedule off below avg degree 8 or 4096 vertices.
   bool use_priority_queue = true;
   std::uint32_t delta = 0;
 

@@ -549,20 +549,24 @@ void lane_sweep(simt::Device& dev, const std::vector<std::uint32_t>& fresh,
 }
 
 /// Scales the single-query auto-delta (`sssp_auto_delta`) for a B-wide
-/// batch, applying the small-graph gate: 0 (schedule off) below
-/// kMinPriorityVertices or when the heuristic itself declines, else the
-/// per-lane band width the batched near/far schedule uses.
-std::uint32_t batch_scale_delta(std::uint32_t auto_delta,
-                                VertexId num_vertices, std::uint32_t b) {
+/// batch, applying the batch's own gates: 0 (schedule off) below
+/// kMinPriorityVertices or below average degree 8, else the per-lane band
+/// width the batched near/far schedule uses.
+std::uint32_t batch_scale_delta(const Csr& g, std::uint32_t b) {
+  // Tiny graphs stay unsplit: the whole traversal is a handful of
+  // launch-bound rounds, so per-level overhead can never amortize.
+  // Low-degree, high-diameter graphs stay unsplit too: the lane-parallel
+  // relaxation already shares each round across B sources, and the
+  // per-lane split and wake sweeps would add cell passes every band.
+  if (g.num_vertices() < kMinPriorityVertices ||
+      g.num_edges() < 8ull * g.num_vertices())
+    return 0;
   // Batch-aware sizing on top of the shared single-query heuristic: the
   // fixed cost of a priority level (launches, split and wake sweeps) is
   // shared by all B lanes, so a batch affords ~B/4-times finer bands —
   // and finer bands are what cut the per-lane relaxation volume. Capped
-  // at the single-query delta for narrow batches. Tiny graphs stay
-  // unsplit: the whole traversal is a handful of launch-bound rounds, so
-  // per-level overhead can never amortize (the batch analog of the
-  // heuristic's low-degree gate).
-  if (num_vertices < kMinPriorityVertices || auto_delta == 0) return 0;
+  // at the single-query delta for narrow batches.
+  const std::uint32_t auto_delta = sssp_auto_delta(g);
   return std::min(auto_delta, std::max(1u, auto_delta * 4 / b));
 }
 
@@ -694,7 +698,7 @@ void BatchEnactor::sssp(const Csr& g, std::span<const VertexId> sources,
 
   std::uint32_t delta = opts.delta;
   if (opts.use_priority_queue && delta == 0)
-    delta = batch_scale_delta(sssp_auto_delta(g), g.num_vertices(), b);
+    delta = batch_scale_delta(g, b);
   if (!opts.use_priority_queue) delta = 0;
   const simt::VecBackend vb = simt::resolve_backend(opts.vec);
   pq_.begin(g.num_vertices(), b, delta, vb);

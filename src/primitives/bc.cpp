@@ -67,6 +67,7 @@ struct BcForwardProgram {
     p.visited.test_and_set(source);
 
     acfg.strategy = opts.strategy;
+    acfg.lb_node_edge_threshold = opts.lb_node_edge_threshold;
     acfg.idempotent = false;
     num_levels = 0;
 
@@ -107,6 +108,7 @@ void BcEnactor::enact(const Csr& g, VertexId source, const QueryOptions& opts,
   out.bc_values.assign(g.num_vertices(), 0.0);
   AdvanceConfig bcfg;
   bcfg.strategy = opts.strategy;
+  bcfg.lb_node_edge_threshold = opts.lb_node_edge_threshold;
   bcfg.idempotent = false;
   bcfg.collect_outputs = false;
   const auto fwd_rounds = static_cast<std::uint32_t>(log_.size());
@@ -159,6 +161,7 @@ void BcEnactor::backward_accumulate(const Csr& g,
 
   AdvanceConfig bcfg;
   bcfg.strategy = opts.strategy;
+  bcfg.lb_node_edge_threshold = opts.lb_node_edge_threshold;
   bcfg.idempotent = false;
   bcfg.collect_outputs = false;
   for (std::uint32_t li = max_level + 1; li-- > 0;) {

@@ -1,6 +1,7 @@
 #include "primitives/sssp.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "core/filter.hpp"
 #include "core/program.hpp"
@@ -34,9 +35,10 @@ struct RelaxFunctor {
   static void apply_vertex(VertexId, SsspProblem&) {}
 };
 
-/// SSSP as an operator program: label-stamp + relax-advance + dedup-filter
-/// per round, with the near/far split as the frontier hand-off and the
-/// priority-level advance folded into the convergence predicate (the
+/// SSSP as an operator program: label-stamp + relax-advance per round, then
+/// either the fused claim + near/far split (PriorityFrontier::claim_split)
+/// or, with the schedule off, the dedup filter + promote. The
+/// priority-level advance is folded into the convergence predicate (the
 /// "is there more work" question includes the banked far pile).
 struct SsspProgram {
   SsspProblem& p;
@@ -44,7 +46,6 @@ struct SsspProgram {
   const QueryOptions& opts;
   VertexId source;
   AdvanceConfig acfg;
-  FilterConfig fcfg;
 
   auto priority() {
     return [this](std::uint32_t v) {
@@ -70,8 +71,8 @@ struct SsspProgram {
     pq.begin(delta);
 
     acfg.strategy = opts.strategy;
+    acfg.lb_node_edge_threshold = opts.lb_node_edge_threshold;
     acfg.idempotent = false;  // relaxation needs the atomic min
-    // fcfg: exact dedup lives in cond_vertex.
 
     c.frontier().assign_single(source);
   }
@@ -89,11 +90,14 @@ struct SsspProgram {
     stamp_labels(c);
     const AdvanceStats a = c.advance<RelaxFunctor>(p, acfg);
     p.iteration++;
-    c.filter<RelaxFunctor>(p, fcfg);
     if (pq.enabled()) {
-      pq.split(c.dev(), c.staged().items(), c.frontier().items(),
-               priority());
+      // Claim filter fused into the near/far split: one launch per round.
+      pq.claim_split(
+          c.dev(), c.advance_out().items(), c.frontier().items(),
+          [this](std::uint32_t v) { return RelaxFunctor::cond_vertex(v, p); },
+          priority());
     } else {
+      c.filter<RelaxFunctor>(p);
       c.promote();
     }
     return {0, c.frontier().size(), c.advance_out().size(),
@@ -126,7 +130,7 @@ void SsspEnactor::enact(const Csr& g, VertexId source,
                         const QueryOptions& opts, SsspResult& out) {
   GRX_CHECK_MSG(source < g.num_vertices(), "SSSP source out of range");
   GRX_CHECK_MSG(g.has_weights(), "SSSP requires edge weights");
-  SsspProgram prog{problem_, pq_, opts, source, {}, {}};
+  SsspProgram prog{problem_, pq_, opts, source, {}};
   enact_program(g, opts, prog, out.summary);
   out.dist = problem_.dist;
   out.pred = problem_.pred;
@@ -134,20 +138,24 @@ void SsspEnactor::enact(const Csr& g, VertexId source,
 }
 
 std::uint32_t sssp_auto_delta(const Csr& g) {
+  if (g.num_edges() == 0) return 0;  // nothing to relax, nothing to split
   const double avg_deg =
-      g.num_vertices()
-          ? static_cast<double>(g.num_edges()) / g.num_vertices()
-          : 1.0;
+      static_cast<double>(g.num_edges()) / g.num_vertices();
+  // Mean weight of U[1,64] is 32.5.
+  constexpr double kMeanWeight = 32.5;
+  double delta;
   if (avg_deg < 8.0) {
-    // Low-degree, high-diameter graphs already run latency-bound with
-    // hundreds of tiny iterations; extra priority levels only add
-    // launches. Leave the pile unsplit.
-    return 0;
+    // Low-degree, high-diameter graphs: a bucket about one warp's worth of
+    // relaxations wide. The unsplit frontier re-relaxes each edge many
+    // times over (Bellman-Ford's waste); near/far bands cut that, and the
+    // fused claim + split keeps a band's rounds at two launches.
+    delta = simt::CostModel::kWarpSize * kMeanWeight / avg_deg;
+  } else {
+    // Dense graphs: delta ~ avg edge relaxation reach per bucket.
+    delta = kMeanWeight * std::max(1.0, avg_deg / 8.0);
   }
-  // Mean weight of U[1,64] is 32.5; delta ~ avg edge relaxation reach per
-  // bucket.
-  return static_cast<std::uint32_t>(
-      std::max(1.0, 32.5 * std::max(1.0, avg_deg / 8.0)));
+  constexpr double kMaxDelta = std::numeric_limits<std::uint32_t>::max();
+  return static_cast<std::uint32_t>(std::clamp(delta, 1.0, kMaxDelta));
 }
 
 }  // namespace grx

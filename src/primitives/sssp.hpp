@@ -1,9 +1,11 @@
 // Single-source shortest path (Sections 4.1 and 5.2).
 //
 // Per iteration: advance relaxes all frontier-incident edges with an
-// atomicMin; filter removes redundant vertex ids; an optional two-level
-// near/far priority frontier (delta-stepping, Davidson et al. — see
-// core/priority_queue.hpp) defers long-distance work.
+// atomicMin; then, with the two-level near/far priority frontier on
+// (delta-stepping, Davidson et al. — see core/priority_queue.hpp), one
+// fused kernel claims each improved vertex once and routes it near or far
+// by its distance, deferring long-distance work. With the queue off a
+// filter removes redundant vertex ids instead.
 #pragma once
 
 #include "core/advance.hpp"
@@ -17,7 +19,7 @@ struct SsspResult {
   std::vector<std::uint32_t> dist;  ///< kInfinity where unreachable
   std::vector<VertexId> pred;
   /// Near/far schedule counters; all-zero when the queue was disabled
-  /// (use_priority_queue == false, or auto-delta declined to split).
+  /// (use_priority_queue == false, or an edgeless graph under auto delta).
   PriorityQueueStats pq_stats;
   EnactSummary summary;
 };
@@ -58,12 +60,15 @@ class SsspEnactor : public EnactorBase {
   PriorityFrontier pq_;  ///< near/far schedule state, pooled
 };
 
-/// The delta sizing shared by single-query and batched SSSP: mean edge
-/// weight (the paper's weights are uniform in [1, 64], mean 32.5) scaled by
-/// average degree — the standard delta-stepping bucket width. Returns 0 on
-/// low-degree, high-diameter graphs (avg degree < 8), where extra priority
-/// levels only add launches and the pile is best left unsplit (the queue is
-/// an *optional* optimization in the paper, Section 5.2).
+/// The delta sizing shared by single-query and batched SSSP, from the mean
+/// edge weight (the paper's weights are uniform in [1, 64], mean 32.5) and
+/// the average degree d. At d >= 8: 32.5 x d / 8, the standard
+/// delta-stepping bucket width. Below 8 (road-like, high-diameter graphs):
+/// warp width x 32.5 / d, a bucket holding about a warp's worth of
+/// relaxations — these graphs waste the most work in an unsplit frontier.
+/// Clamped to [1, UINT32_MAX]; 0 (queue off) only for an edgeless graph.
+/// Batched SSSP scales the dense value and keeps its own low-degree
+/// decline (batch.cpp, batch_scale_delta).
 std::uint32_t sssp_auto_delta(const Csr& g);
 
 }  // namespace grx

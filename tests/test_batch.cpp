@@ -8,6 +8,7 @@
 
 #include "api/engine.hpp"
 #include "baselines/serial/serial.hpp"
+#include "graph/datasets.hpp"
 #include "test_common.hpp"
 
 namespace grx {
@@ -184,6 +185,25 @@ TEST(Batch, SsspLaneStatsSurfaceThroughResult) {
   EXPECT_EQ(plain.delta, 0u);
   EXPECT_TRUE(plain.lane_stats.empty());
   EXPECT_EQ(plain.dist, with_pq.dist);  // scheduling, not semantics
+}
+
+TEST(Batch, SsspAutoDeltaStaysOffOnRoadNetworks) {
+  // The single-query auto delta sizes low-degree graphs; the batched
+  // schedule keeps its own decline below average degree 8, so served SSSP
+  // batches on road graphs still run unsplit.
+  const Csr g = build_dataset("roadnet-s", /*shrink=*/3);
+  ASSERT_GT(sssp_auto_delta(g), 0u);
+  const auto sources = pick_sources(g, 8);
+  simt::Device dev;
+  const BatchSsspResult r = Engine(dev, g).batch_sssp(sources);
+  EXPECT_EQ(r.delta, 0u);
+  EXPECT_TRUE(r.lane_stats.empty());
+  for (std::size_t q = 0; q < sources.size(); ++q) {
+    const auto oracle = serial::dijkstra(g, sources[q]);
+    for (VertexId v = 0; v < g.num_vertices(); ++v)
+      ASSERT_EQ(r.dist_at(v, static_cast<std::uint32_t>(q)), oracle[v])
+          << "lane " << q << " vertex " << v;
+  }
 }
 
 TEST(Batch, SsspStaleFarMinimumStillDrainsThePile) {

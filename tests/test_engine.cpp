@@ -19,6 +19,7 @@
 #include <omp.h>
 
 #include "api/engine.hpp"
+#include "graph/datasets.hpp"
 #include "graph/generators.hpp"
 
 // This TU owns the binary's operator-new replacement: the zero
@@ -94,15 +95,20 @@ TEST(EngineSteadyState, BfsAllocFree) {
 }
 
 TEST(EngineSteadyState, SsspAllocFree) {
-  const Csr& g = serving_graph();
-  simt::Device dev;
-  Engine eng(dev, g);
-  SsspResult r;
-  eng.sssp(kSrc, r);
-  eng.sssp(kSrc, r);
-  EXPECT_EQ(allocations_during([&] { eng.sssp(kSrc, r); }), 0u);
-  // The near/far schedule must actually have run for this to mean much.
-  EXPECT_GT(r.pq_stats.splits, 0u);
+  // The power-law serving graph and a low-degree road graph: both run the
+  // auto near/far schedule (fused claim + split) by default.
+  const Csr road = build_dataset("roadnet-s", /*shrink=*/3);
+  for (const Csr* g : {&serving_graph(), &road}) {
+    simt::Device dev;
+    Engine eng(dev, *g);
+    SsspResult r;
+    eng.sssp(kSrc, r);
+    eng.sssp(kSrc, r);
+    EXPECT_EQ(allocations_during([&] { eng.sssp(kSrc, r); }), 0u)
+        << g->num_vertices() << " vertices";
+    // The near/far schedule must actually have run for this to mean much.
+    EXPECT_GT(r.pq_stats.splits, 0u) << g->num_vertices() << " vertices";
+  }
 }
 
 TEST(EngineSteadyState, BcAllocFree) {
@@ -338,6 +344,37 @@ TEST(EngineDeterminism, ResultsIdenticalAcrossThreadCounts) {
     const BatchSsspResult bs = eng.batch_sssp(sources);
     EXPECT_EQ(bs.dist, rbs.dist) << threads << " threads";
     EXPECT_EQ(bs.lane_stats, rbs.lane_stats) << threads << " threads";
+  }
+}
+
+// --- 4. options reach every advance -----------------------------------------
+
+TEST(EngineOptions, LbThresholdReachesSsspAndBc) {
+  // Under kLoadBalanced, lb_node_edge_threshold picks the edge-chunked
+  // mapping (frontier >= threshold) or the node-chunked one. Every advance
+  // of single-query SSSP and BC (forward and backward) must honour it.
+  const Csr g = build_dataset("roadnet-s", /*shrink=*/3);
+  simt::Device dev;
+  dev.set_profiling(true);
+  Engine eng(dev, g);
+  const auto launched = [&](const char* name) {
+    std::uint64_t n = 0;
+    for (const auto& k : dev.kernel_log()) n += k.name == name;
+    return n;
+  };
+  for (const std::uint32_t threshold : {1u, 1u << 30}) {
+    QueryOptions opts;
+    opts.strategy = AdvanceStrategy::kLoadBalanced;
+    opts.lb_node_edge_threshold = threshold;
+    const char* want = threshold == 1 ? "advance_lb_edges" : "advance_lb_nodes";
+    const char* other =
+        threshold == 1 ? "advance_lb_nodes" : "advance_lb_edges";
+    eng.sssp(kSrc, opts);
+    EXPECT_GT(launched(want), 0u) << "sssp, threshold " << threshold;
+    EXPECT_EQ(launched(other), 0u) << "sssp, threshold " << threshold;
+    eng.bc(kSrc, opts);
+    EXPECT_GT(launched(want), 0u) << "bc, threshold " << threshold;
+    EXPECT_EQ(launched(other), 0u) << "bc, threshold " << threshold;
   }
 }
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <tuple>
+#include <vector>
 
 #include "api/engine.hpp"
 #include "baselines/serial/serial.hpp"
@@ -118,14 +120,30 @@ TEST(Sssp, RequiresWeights) {
 }
 
 TEST(Sssp, AutoDeltaGatesOnDegree) {
-  // Low-degree, high-diameter graphs decline the split (0); dense graphs
-  // size delta from mean weight x average degree.
+  // Below average degree 8 the bucket is about a warp's worth of
+  // relaxations wide (32 x mean weight 32.5 / avg degree); at or above it,
+  // mean weight x avg degree / 8. Only an edgeless graph declines (0).
   BuildOptions b;
   b.symmetrize = true;
-  const Csr sparse = build_csr(path_graph(64), b);  // avg degree 2
-  EXPECT_EQ(sssp_auto_delta(sparse), 0u);
+  const Csr sparse = build_csr(path_graph(64), b);  // 126 arcs, 64 vertices
+  EXPECT_EQ(sssp_auto_delta(sparse),
+            static_cast<std::uint32_t>(32 * 32.5 * 64 / 126));
+  const Csr road = build_dataset("roadnet-s", /*shrink=*/1);
+  EXPECT_EQ(sssp_auto_delta(road), 333u);
   const Csr dense = build_csr(complete_graph(64), b);  // avg degree 63
-  EXPECT_GT(sssp_auto_delta(dense), 0u);
+  EXPECT_EQ(sssp_auto_delta(dense), static_cast<std::uint32_t>(32.5 * 63 / 8));
+
+  EdgeList none;
+  none.num_vertices = 16;
+  EXPECT_EQ(sssp_auto_delta(build_csr(none, BuildOptions{})), 0u);
+
+  // One arc over 5M vertices: 1040 x 5M exceeds u32 — clamps, no wrap.
+  const VertexId n = 5'000'000;
+  std::vector<EdgeId> offsets(n + 1, 1);
+  offsets[0] = 0;
+  const Csr sparsest(n, std::move(offsets), std::vector<VertexId>{1});
+  EXPECT_EQ(sssp_auto_delta(sparsest),
+            std::numeric_limits<std::uint32_t>::max());
 }
 
 TEST(Sssp, StaleFarPileEntriesPromoteByCurrentDistance) {
@@ -164,22 +182,19 @@ TEST(Sssp, StaleFarPileEntriesPromoteByCurrentDistance) {
     EXPECT_EQ(batch.dist_at(v, 0), oracle[v]) << "vertex " << v;
 }
 
-TEST(Sssp, DeltaZeroFallsBackToPlainFrontier) {
-  // use_priority_queue with delta 0 means "auto"; on a low-degree graph
-  // the heuristic declines and the run must behave exactly like the plain
-  // frontier path — zero splits, same distances.
+TEST(Sssp, AutoDeltaMatchesPlainFrontierDistances) {
+  // use_priority_queue with delta 0 means "auto"; on a low-degree graph it
+  // now sizes a bucket rather than declining, and must agree with the
+  // plain frontier path on every distance.
   const Csr g = build_dataset("roadnet-s", /*shrink=*/5);
-  ASSERT_EQ(sssp_auto_delta(g), 0u);
   simt::Device dev;
   QueryOptions auto_opts;  // use_priority_queue = true, delta = 0
   const SsspResult a = Engine(dev, g).sssp(0, auto_opts);
-  EXPECT_EQ(a.pq_stats.splits, 0u);
-  EXPECT_EQ(a.pq_stats.near_total + a.pq_stats.far_total, 0u);
   QueryOptions off;
   off.use_priority_queue = false;
   const SsspResult b = Engine(dev, g).sssp(0, off);
   EXPECT_EQ(a.dist, b.dist);
-  EXPECT_EQ(a.summary.iterations, b.summary.iterations);
+  EXPECT_EQ(b.pq_stats, PriorityQueueStats{});
 }
 
 TEST(Sssp, AutoDeltaOnUniformWeightGraphs) {
@@ -214,12 +229,42 @@ TEST(Sssp, NearFarReducesWorkOnRoadNetworks) {
   simt::Device dev;
   QueryOptions with_pq, without_pq;
   with_pq.use_priority_queue = true;
-  with_pq.delta = 64;  // force delta-stepping (auto policy would skip it)
+  with_pq.delta = 64;  // a fixed, finer bucket than the auto sizing
   without_pq.use_priority_queue = false;
   const auto a = Engine(dev, g).sssp(0, with_pq);
   const auto b = Engine(dev, g).sssp(0, without_pq);
   // Delta-stepping's whole point: fewer wasted relaxations than the
   // Bellman-Ford-style frontier (Davidson et al.).
+  EXPECT_LT(a.summary.edges_processed, b.summary.edges_processed);
+}
+
+TEST(Sssp, AutoScheduleEngagesOnRoadNetworks) {
+  // The auto delta engages the near/far schedule on a low-degree graph,
+  // saves relaxations over the unsplit frontier, and runs each round as
+  // advance + fused claim/split: no filter launch, at most two launches
+  // per iteration plus one per priority-level re-split.
+  const Csr g = build_dataset("roadnet-s", /*shrink=*/3);
+  ASSERT_LT(g.num_edges(), 8ull * g.num_vertices());
+  const auto oracle = serial::dijkstra(g, 0);
+  simt::Device dev;
+  dev.set_profiling(true);
+  Engine eng(dev, g);
+  const SsspResult a = eng.sssp(0);
+  EXPECT_EQ(a.dist, oracle);
+  EXPECT_GT(a.pq_stats.splits, 0u);
+  std::uint64_t filters = 0;
+  for (const auto& k : dev.kernel_log()) filters += k.name == "filter";
+  EXPECT_EQ(filters, 0u);
+  // Every round runs one claim_split; the remaining splits are re-splits.
+  ASSERT_GE(a.pq_stats.splits, a.summary.iterations);
+  const std::uint64_t resplits = a.pq_stats.splits - a.summary.iterations;
+  EXPECT_LE(a.summary.counters.kernel_launches,
+            2ull * a.summary.iterations + resplits);
+
+  QueryOptions off;
+  off.use_priority_queue = false;
+  const SsspResult b = eng.sssp(0, off);
+  EXPECT_EQ(b.dist, oracle);
   EXPECT_LT(a.summary.edges_processed, b.summary.edges_processed);
 }
 

@@ -41,7 +41,8 @@ BcResult Engine::bc(VertexId source, const QueryOptions& opts) {
 
 void Engine::cc(CcResult& out, const QueryOptions& opts) {
   EnactScope scope(*this);
-  cc_.enact(*g_, opts, out);
+  require_transpose();
+  cc_.enact(*g_, *gT_, opts, out);
 }
 CcResult Engine::cc(const QueryOptions& opts) {
   CcResult out;
@@ -93,7 +94,7 @@ MstResult Engine::mst(const QueryOptions& opts) {
 void Engine::require_transpose() {
   if (transpose_explicit_ || symmetry_verified_) return;
   GRX_CHECK_MSG(is_symmetric(*g_),
-                "Engine::pagerank/hits/salsa on a directed graph requires "
+                "Engine::cc/pagerank/hits/salsa on a directed graph requires "
                 "the transpose constructor Engine(dev, g, transpose)");
   symmetry_verified_ = true;
 }

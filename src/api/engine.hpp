@@ -50,8 +50,8 @@ namespace grx {
 class Engine {
  public:
   /// Binds the engine to `dev` and `g` (both captured by reference and
-  /// must outlive the engine). PageRank/HITS/SALSA treat `g` as its own
-  /// transpose — valid only for symmetric (undirected) graphs, which the
+  /// must outlive the engine). CC/PageRank/HITS/SALSA treat `g` as its
+  /// own transpose — valid only for symmetric (undirected) graphs, which the
   /// first such query verifies once (GRX_CHECK; O(E), cached). Directed
   /// graphs must use the transpose-supplying constructor.
   Engine(simt::Device& dev, const Csr& g)
@@ -60,7 +60,8 @@ class Engine {
   }
 
   /// As above with an explicit transpose for the gather primitives
-  /// (PageRank/HITS/SALSA gather over reverse edges).
+  /// (PageRank/HITS/SALSA gather over reverse edges; CC gathers over both
+  /// directions of a distinct transpose, giving weak components).
   Engine(simt::Device& dev, const Csr& g, const Csr& transpose)
       : dev_(&dev),
         g_(&g),
@@ -88,7 +89,7 @@ class Engine {
   /// a server worker points its pooled engine at a newer DynamicGraph
   /// snapshot without rebuilding enactors. Pooled state is retained
   /// (buffers re-size per enact, so only a grown edge count allocates);
-  /// the symmetry cache resets, and PageRank/HITS/SALSA again treat the
+  /// the symmetry cache resets, and CC/PageRank/HITS/SALSA again treat the
   /// graph as its own transpose until rebind(g, transpose) supplies one
   /// (a graph known to be symmetric can pass itself: rebind(g, g) skips
   /// the re-check). Requires no query in flight (throws CheckError
@@ -194,10 +195,10 @@ class Engine {
                                  const QueryOptions& opts = {});
 
  private:
-  /// Guards pagerank()/hits()/salsa() under the single-graph constructor:
-  /// a directed graph used as its own transpose would silently produce
-  /// wrong scores, so the first such query checks structural symmetry
-  /// once.
+  /// Guards cc()/pagerank()/hits()/salsa() under the single-graph
+  /// constructor: a directed graph used as its own transpose would silently
+  /// produce wrong answers, so the first such query checks structural
+  /// symmetry once.
   void require_transpose();
 
   /// RAII reentry guard taken by every query entry point: one atomic RMW

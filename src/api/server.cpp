@@ -121,9 +121,9 @@ struct Server::Worker {
   /// Fresh device + engine. After an exception escaped an enact the old
   /// engine's pooled problem state is mid-enact garbage with no invariants
   /// to salvage; a respawned worker starts from a clean world. The engine
-  /// always binds the graph as its own transpose: PageRank, the only kind
-  /// that reads the transpose, is admitted at submit only on a symmetric
-  /// graph, so workers never re-check symmetry.
+  /// always binds the graph as its own transpose: CC and PageRank, the
+  /// kinds that read the transpose, are admitted at submit only on a
+  /// symmetric graph, so workers never re-check symmetry.
   void rebuild(Server& srv) {
     engine.reset();
     dev = std::make_unique<simt::Device>();
@@ -234,16 +234,16 @@ QueryTicket Server::submit(const QueryRequest& req) {
   if (req.kind == QueryKind::kSssp)
     GRX_CHECK_MSG(weighted_,
                   "SSSP submitted to a server over an unweighted graph");
-  // PageRank gathers over the transpose, and workers bind the graph as
-  // its own (Worker::rebuild): admit it only on a symmetric graph. A
+  // CC and PageRank gather over the transpose, and workers bind the graph
+  // as its own (Worker::rebuild): admit them only on a symmetric graph. A
   // symmetric DynamicGraph stays symmetric — its constructor checks the
   // base and every update is mirrored.
-  if (req.kind == QueryKind::kPagerank) {
+  if (req.kind == QueryKind::kCc || req.kind == QueryKind::kPagerank) {
     if (g_ != nullptr)
       std::call_once(symmetric_once_,
                      [this] { symmetric_ = is_symmetric(*g_); });
     GRX_CHECK_MSG(symmetric_,
-                  "PageRank submitted to a server over a directed graph "
+                  "CC or PageRank submitted to a server over a directed graph "
                   "(a dynamic graph must be DynamicGraphOptions::symmetric)");
   }
 

@@ -471,7 +471,7 @@ class Server {
 
   /// Binds the pool to `g` (captured by reference; must outlive the
   /// server) and starts the workers. SSSP submissions require a weighted
-  /// graph and PageRank submissions a symmetric one (it gathers over
+  /// graph, CC and PageRank submissions a symmetric one (they gather over
   /// in-edges and the server holds no transpose); both are checked at
   /// submit, not at a worker, so misuse fails in the submitting thread.
   explicit Server(const Csr& g, const ServerOptions& opts = {});
@@ -480,8 +480,8 @@ class Server {
   /// server). Every query pins the newest snapshot at dequeue time and is
   /// byte-equal to a serial oracle on that epoch's graph; mutations enter
   /// through apply_updates(). Snapshots always carry weights, so SSSP is
-  /// always admissible on a dynamic server; PageRank is admissible when
-  /// the graph is DynamicGraphOptions::symmetric.
+  /// always admissible on a dynamic server; CC and PageRank are admissible
+  /// when the graph is DynamicGraphOptions::symmetric.
   explicit Server(DynamicGraph& g, const ServerOptions& opts = {});
 
   /// Graceful: stop(), which drains every accepted query.
@@ -595,9 +595,9 @@ class Server {
   DynamicGraph* dyn_ = nullptr;  ///< dynamic mode; null on a static server
   VertexId n_ = 0;               ///< vertex count (fixed in both modes)
   bool weighted_ = false;        ///< SSSP admissible (always on dynamic)
-  /// PageRank admissible: the graph is its own transpose. Dynamic mode
-  /// reads DynamicGraphOptions::symmetric; static mode checks the graph
-  /// once, at the first PageRank submit.
+  /// CC and PageRank admissible: the graph is its own transpose. Dynamic
+  /// mode reads DynamicGraphOptions::symmetric; static mode checks the
+  /// graph once, at the first CC or PageRank submit.
   bool symmetric_ = false;
   std::once_flag symmetric_once_;
   ServerOptions opts_;

@@ -78,7 +78,7 @@ class EnactorBase {
 
   /// The driver's core loop without begin/finish bracketing, for enactors
   /// that run extra phases around the program (BC's backward sweep) or
-  /// account summary totals beyond the per-iteration log (CC, MIS, MST).
+  /// account summary totals beyond the per-iteration log (MIS, MST).
   /// Returns the sum of the recorded steps' edges_processed.
   template <typename Prog>
   std::uint64_t run_program(const Csr& g, Prog& prog);
@@ -92,9 +92,9 @@ class EnactorBase {
     cancel_ = opts.cancel;
     dev_.reset();
     log_.clear();
-    // Round counts of racy primitives (CC hooking) vary with host
-    // thread count; a log sized for the common case keeps a warm enactor
-    // from reallocating whenever a run is one round longer than before.
+    // A log sized for the common case keeps a warm enactor from
+    // reallocating whenever a query runs one round longer than any
+    // before it on this enactor.
     if (log_.capacity() < kLogReserve) log_.reserve(kLogReserve);
     advance_ws_.begin_enact();
     filter_ws_.new_generation();

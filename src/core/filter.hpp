@@ -5,8 +5,8 @@
 //    optional cheap duplicate-culling heuristics for idempotent primitives
 //    (a history hash table: "a series of inexpensive heuristics to reduce,
 //    but not eliminate, redundant entries", Section 4.5);
-//  * filter_edges — CondEdge over an *edge* frontier (CC hooking operates
-//    on edges; the problem supplies endpoint lookup).
+//  * filter_edges — CondEdge over an *edge* frontier (MST's Boruvka rounds
+//    operate on edges; the problem supplies endpoint lookup).
 //
 // Operator contracts and dedup semantics: docs/operators.md.
 #pragma once

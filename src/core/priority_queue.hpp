@@ -118,8 +118,9 @@ void split_near_far(simt::Device& dev, const std::vector<std::uint32_t>& items,
   detail::route_piles(
       dev, items, near, far,
       [&](simt::Lane& lane, std::uint32_t v) {
-        lane.load_coalesced();
-        lane.alu();
+        lane.load_coalesced();  // queue read
+        lane.load_scattered();  // priority read, priced as in claim_split
+        lane.alu();             // cutoff compare
         return is_near(v) ? detail::Pile::kNear : detail::Pile::kFar;
       },
       ws, stats);

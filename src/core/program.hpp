@@ -90,7 +90,7 @@ class OpContext {
   }
 
   /// Vertex filter over explicit pooled vectors (CC's pointer jumping runs
-  /// a private vertex frontier inside each hook round).
+  /// a private frontier of hooked roots inside each round).
   template <typename F, typename P>
   FilterStats filter_into(const std::vector<std::uint32_t>& from,
                           std::vector<std::uint32_t>& to, P& prob,
@@ -98,8 +98,8 @@ class OpContext {
     return filter_vertices<F>(dev_, from, to, prob, cfg, filter_ws_);
   }
 
-  /// Edge filter over explicit pooled vectors (CC hooking and MST rounds
-  /// traverse edge frontiers; the problem supplies endpoint lookup).
+  /// Edge filter over explicit pooled vectors (MST rounds traverse edge
+  /// frontiers; the problem supplies endpoint lookup).
   template <typename F, typename P>
   FilterStats filter_edges_into(const std::vector<std::uint32_t>& from,
                                 std::vector<std::uint32_t>& to, P& prob) {

@@ -1,5 +1,6 @@
 // Edge-list graph representation (the input format for builders and the
-// native format for Gunrock's edge-centric operators, e.g. CC hooking).
+// native format for Gunrock's edge-centric operators, e.g. MST's Borůvka
+// rounds).
 #pragma once
 
 #include <vector>

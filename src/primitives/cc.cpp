@@ -1,125 +1,126 @@
 #include "primitives/cc.hpp"
 
+#include <algorithm>
 #include <numeric>
 
-#include "core/filter.hpp"
 #include "core/program.hpp"
 #include "util/timer.hpp"
 
 namespace grx {
 namespace {
 
-/// Hooking: roots of differing components merge — the larger root label is
-/// atomically lowered to the smaller (monotone, so races converge; Soman's
-/// odd/even alternation serves the same purpose on a PRAM).
-/// An edge whose endpoints already share a component is removed.
-struct HookFunctor {
-  static bool cond_edge(VertexId s, VertexId d, EdgeId, CcProblem& p) {
-    const VertexId cs = simt::atomic_load(p.comp[s]);
-    const VertexId cd = simt::atomic_load(p.comp[d]);
-    if (cs == cd) return false;  // settled: drop from the edge frontier
-    const VertexId hi = std::max(cs, cd), lo = std::min(cs, cd);
-    if (simt::atomic_min(p.comp[hi], lo) > lo)
-      simt::atomic_store(p.changed, 1u);
-    return true;  // keep: endpoints may still need future hooks
-  }
-  static void apply_edge(VertexId, VertexId, EdgeId, CcProblem&) {}
+constexpr std::uint64_t kNoProposer = 0xFFFFFFFFu;
+constexpr CcProblem::Span kNoLabel{0xFFFFFFFFu, 0};
+
+/// Keeps an active vertex that saw a label other than its own; one whose
+/// neighbours all share its label keeps it so, as equal labels relabel alike.
+struct MixedFunctor {
+  static bool cond_vertex(VertexId v, CcProblem& p) { return p.mixed[v]; }
+  static void apply_vertex(VertexId, CcProblem&) {}
 };
 
-/// Pointer jumping: c[v] <- c[c[v]] until every label is a root. A vertex
-/// whose label is already a root leaves the frontier.
+/// Pointer doubling by each hooked root's designated proposer (least id
+/// proposing its least label): read buffer `cur`, write the other with the
+/// proposer kept, so an entry that stopped moving is equal in both.
 struct JumpFunctor {
   static bool cond_vertex(VertexId v, CcProblem& p) {
-    const VertexId c = simt::atomic_load(p.comp[v]);
-    const VertexId cc = simt::atomic_load(p.comp[c]);
-    if (c == cc) return false;  // star reached: remove from frontier
-    simt::atomic_min(p.comp[v], cc);
-    return true;
+    const VertexId r = p.comp[v];
+    const std::vector<std::uint64_t>& from = p.jump[p.cur];
+    if ((from[r] & kNoProposer) != v) return false;
+    const std::uint64_t up = from[r] >> 32, next = from[up] >> 32;
+    p.jump[p.cur ^ 1][r] = (next << 32) | v;
+    return next != up;
   }
   static void apply_vertex(VertexId, CcProblem&) {}
 };
 
-/// CC as an operator program. One step = one hook round over the shrinking
-/// edge frontier followed by full pointer-jump compression (both phases on
-/// shrinking frontiers, per Figure 6); converged when a hook round moved no
-/// label. The jump passes' inputs are extra device work beyond the logged
-/// hook inputs — tallied in jump_work for the summary total.
+/// CC as an operator program: one step is one round (see cc.hpp).
 struct CcProgram {
   CcProblem& p;
-  std::vector<std::uint32_t>& edge_frontier;
-  std::vector<std::uint32_t>& next_edges;
-  std::vector<std::uint32_t>& vf;
-  std::vector<std::uint32_t>& nvf;
-  std::uint64_t jump_work = 0;
-  bool done = false;
+  const Csr& gT;
+  std::vector<std::uint32_t>& jf;
+  std::vector<std::uint32_t>& njf;
 
   void init(OpContext& c) {
-    const Csr& g = c.graph();
-    // One direction per undirected edge suffices for hooking. Rebuilt in
-    // place every enact — caching on graph identity would be unsound (a
-    // new Csr can reuse a previous one's address), and clear() keeps
-    // capacity, so the rebuild allocates nothing in steady state.
-    p.g = &g;
-    p.edge_src.clear();
-    p.edge_dst.clear();
-    for (VertexId v = 0; v < g.num_vertices(); ++v)
-      for (VertexId u : g.neighbors(v))
-        if (v < u) {
-          p.edge_src.push_back(v);
-          p.edge_dst.push_back(u);
-        }
-    p.comp.resize(g.num_vertices());
+    const VertexId n = c.graph().num_vertices();
+    p.comp.resize(n);
     std::iota(p.comp.begin(), p.comp.end(), VertexId{0});
-    edge_frontier.resize(p.edge_src.size());
-    std::iota(edge_frontier.begin(), edge_frontier.end(), 0u);
-    // The double buffers swap once per round, and the round count varies
-    // with host thread count: size both halves of each pair up front so
-    // either can take the full frontier without reallocating.
-    next_edges.reserve(p.edge_src.size());
-    vf.reserve(g.num_vertices());
-    nvf.reserve(g.num_vertices());
-    done = false;
-    jump_work = 0;
+    p.jump[0].resize(n);
+    for (VertexId v = 0; v < n; ++v)
+      p.jump[0][v] = (std::uint64_t{v} << 32) | kNoProposer;
+    p.jump[1] = p.jump[0];
+    p.mixed.resize(n);
+    c.frontier().assign_iota(n);
   }
 
-  bool converged(OpContext&) { return done; }
+  bool converged(OpContext& c) { return c.frontier().empty(); }
 
   IterationStats step(OpContext& c) {
     const Csr& g = c.graph();
-    p.changed = 0;
-    const FilterStats hs =
-        c.filter_edges_into<HookFunctor>(edge_frontier, next_edges, p);
-    edge_frontier.swap(next_edges);
+    const bool directed = &gT != &g;
+    using Span = CcProblem::Span;
+    const auto label = [](VertexId, VertexId u, EdgeId, CcProblem& q) {
+      return Span{q.comp[u], q.comp[u]};
+    };
+    const auto widen = [](Span a, Span b) {
+      return Span{std::min(a.lo, b.lo), std::max(a.hi, b.hi)};
+    };
+    c.neighbor_reduce<Span>(p.span, p, kNoLabel, label, widen);
+    if (directed)
+      c.neighbor_reduce<Span>(gT, p.span_t, p, kNoLabel, label, widen);
 
-    // Pointer-jumping rounds (vertex filter) until all labels are roots.
-    vf.resize(g.num_vertices());
-    std::iota(vf.begin(), vf.end(), 0u);
-    while (!vf.empty()) {
-      const FilterStats js = c.filter_into<JumpFunctor>(vf, nvf, p);
-      jump_work += js.inputs;
-      vf.swap(nvf);
+    // Hook: propose the least neighbour label to the star root. The min
+    // over (label, proposer) is the same whichever write lands first.
+    const auto& items = c.frontier().items();
+    c.dev().for_each("cc_hook", items.size(), [&](simt::Lane& lane,
+                                                  std::size_t i) {
+      const VertexId v = items[i];
+      const Span s = directed ? widen(p.span[i], p.span_t[i]) : p.span[i];
+      lane.load_coalesced(2);  // gathered span read + flag write
+      lane.load_scattered();   // own label read
+      const VertexId r = p.comp[v];
+      p.mixed[v] = s.lo < r || s.hi > r;
+      if (s.lo >= r) return;
+      lane.atomic();
+      simt::atomic_min(p.jump[p.cur][r], (std::uint64_t{s.lo} << 32) | v);
+    });
+
+    std::uint64_t arcs = 0;
+    for (const VertexId v : items)
+      arcs += g.degree(v) + (directed ? gT.degree(v) : 0);
+    c.filter_frontier<MixedFunctor>(p);
+    const auto& next = c.staged().items();
+    if (!next.empty()) {  // a vertex saw another label: some root hooked
+      c.filter_into<JumpFunctor>(next, jf, p);
+      for (p.cur ^= 1; !jf.empty(); p.cur ^= 1) {
+        c.filter_into<JumpFunctor>(jf, njf, p);
+        jf.swap(njf);
+      }
+      c.compute_all(g.num_vertices(), p, [](std::uint32_t v, CcProblem& q) {
+        q.comp[v] = static_cast<VertexId>(q.jump[q.cur][q.comp[v]] >> 32);
+      });
     }
-
-    if (p.changed == 0) done = true;
-    return {0, hs.inputs, hs.outputs, hs.inputs, false};
+    const IterationStats s{0, items.size(), next.size(), arcs, false};
+    c.promote();
+    return s;
   }
 };
 
 }  // namespace
 
-void CcEnactor::enact(const Csr& g, const QueryOptions& opts,
+void CcEnactor::enact(const Csr& g, const Csr& gT, const QueryOptions& opts,
                       CcResult& out) {
+  GRX_CHECK(g.num_vertices() == gT.num_vertices());
+  GRX_CHECK(g.num_edges() == gT.num_edges());
   Timer wall;
   begin_enact(opts);
-  CcProgram prog{problem_, edge_frontier_, next_edges_, vf_, nvf_};
-  const std::uint64_t hook_work = run_program(g, prog);
-
-  out.component = problem_.comp;
-  // Count roots = components.
+  CcProgram prog{problem_, gT, jf_, njf_};
+  const std::uint64_t arcs = run_program(g, prog);
+  out.component.swap(problem_.comp);  // both keep their capacity
   out.num_components = 0;
   for (VertexId v = 0; v < g.num_vertices(); ++v)
     if (out.component[v] == v) out.num_components++;
-  finish_into(out.summary, hook_work + prog.jump_work, wall.elapsed_ms());
+  finish_into(out.summary, arcs, wall.elapsed_ms());
 }
 
 }  // namespace grx

@@ -1,8 +1,11 @@
-// Connected components (Section 5.4): Soman et al.'s hooking +
-// pointer-jumping, expressed as Gunrock filters — hooking as a filter on an
-// edge frontier (edges whose endpoints agree are removed), pointer-jumping
-// as a filter on a vertex frontier (vertices whose label is a root are
-// removed).
+// Connected components (Section 5.4): Soman et al.'s hooking + pointer
+// jumping as a Jacobi schedule over a shrinking active-vertex frontier. A
+// round gathers each active vertex's (min, max) neighbour label (pull
+// neighbor-reduce), hooks star roots to their least proposed label, jumps
+// pointers from the hooked roots only, relabels, and drops vertices whose
+// neighbours share their label. Reads see the round's start state and
+// writes land in a second array, so labels, counts and device time do not
+// depend on the host thread count.
 #pragma once
 
 #include "core/enactor.hpp"
@@ -16,35 +19,31 @@ struct CcResult {
   EnactSummary summary;
 };
 
-/// Per-graph persistent CC state (the Problem): component labels plus the
-/// flat undirected edge list hooking iterates over. Pooled across
-/// enactments — the edge list is rebuilt in place each enact (capacity
-/// retained), so repeated queries allocate nothing in steady state.
+/// Per-graph persistent CC state (the Problem), pooled across enactments
+/// and re-sized in place. `jump` entries hold (parent << 32) | designated
+/// proposer; only current roots' entries are read, and a root's stay
+/// (id, none) in both buffers until it hooks.
 struct CcProblem {
-  const Csr* g = nullptr;
-  std::vector<VertexId> comp;           // component label per vertex
-  std::vector<std::uint32_t> edge_src;  // flat edge list (one direction)
-  std::vector<std::uint32_t> edge_dst;
-  std::uint32_t changed = 0;  // hooking progress flag (atomic)
-
-  std::pair<VertexId, VertexId> edge_endpoints(std::uint32_t e) const {
-    return {edge_src[e], edge_dst[e]};
-  }
+  struct Span { VertexId lo, hi; };  // least, greatest neighbour label
+  std::vector<VertexId> comp;  // round-start label: a root, comp[root]==root
+  std::vector<std::uint64_t> jump[2];  // hook target + pointer doubling
+  unsigned cur = 0;                    // buffer with the newest pointers
+  std::vector<std::uint8_t> mixed;     // active vertex saw another label
+  std::vector<Span> span, span_t;      // gathers, frontier-aligned
 };
 
-/// Persistent CC enactor with pooled Problem and edge/vertex frontiers.
 class CcEnactor : public EnactorBase {
  public:
   using EnactorBase::EnactorBase;
 
-  void enact(const Csr& g, const QueryOptions& opts, CcResult& out);
+  /// Labels the weak components of `g`; `gT` must be its transpose (pass
+  /// `g` itself for a symmetric graph, which gathers over one CSR only).
+  void enact(const Csr& g, const Csr& gT, const QueryOptions& opts,
+             CcResult& out);
 
  private:
   CcProblem problem_;
-  // Pooled hook/compress frontiers (edge frontier + pointer-jump vertex
-  // frontier, double-buffered).
-  std::vector<std::uint32_t> edge_frontier_, next_edges_;
-  std::vector<std::uint32_t> vf_, nvf_;
+  std::vector<std::uint32_t> jf_, njf_;  // pointer-jump frontier pair
 };
 
 }  // namespace grx

@@ -45,6 +45,27 @@ TEST(Cc, LabelsAreCanonicalMinIds) {
   EXPECT_EQ(r.num_components, 4u);
 }
 
+TEST(Cc, DirectedGraphGathersBothDirections) {
+  // Arcs listed only from the higher id: weak components need the reverse
+  // direction too, which the transpose supplies.
+  EdgeList el;
+  el.num_vertices = 6;
+  el.edges = {{5, 2, 1}, {4, 1, 1}};
+  const Csr g = build_csr(el);
+  ASSERT_FALSE(is_symmetric(g));
+  const std::vector<VertexId> oracle = serial::connected_components(g);
+  ASSERT_EQ(serial::count_components(oracle), 4u);
+  simt::Device dev;
+  const CcResult r = Engine(dev, g, transpose(g)).cc();
+  EXPECT_EQ(r.component, oracle);
+  EXPECT_EQ(r.num_components, 4u);
+
+  // Without the transpose the engine refuses instead of dropping arcs.
+  simt::Device bare_dev;
+  Engine bare(bare_dev, g);
+  EXPECT_THROW(bare.cc(), CheckError);
+}
+
 TEST(Cc, SingleComponent) {
   const Csr g = testing::undirected(cycle_graph(64));
   simt::Device dev;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 #include <omp.h>
 
+#include <string>
 #include <vector>
 
 #include "api/engine.hpp"
@@ -367,6 +368,46 @@ TEST(Determinism, PagerankByteEqualToOracleAcrossThreadCounts) {
       Engine eng(dev, g);
       EXPECT_EQ(eng.pagerank(opts).rank, oracle)
           << name << ", " << threads << " threads";
+    }
+  }
+}
+
+// CC's rounds read the round-start labels and write second arrays (the
+// hook minimum, double-buffered pointer jumping), so its labels, work
+// counts, launches and device time are the same at any thread count. It
+// runs no advance, so the advance strategy must not move them either.
+TEST(Determinism, CcIdenticalAcrossThreadCounts) {
+  ThreadRestorer restore;
+  for (const char* name : {"soc-orkut-s", "roadnet-s"}) {
+    const Csr g = build_dataset(name, /*shrink=*/4);
+    const std::vector<VertexId> oracle = serial::connected_components(g);
+    omp_set_num_threads(1);
+    simt::Device ref_dev;
+    const CcResult ref = Engine(ref_dev, g).cc();
+    ASSERT_EQ(ref.component, oracle) << name;
+    ASSERT_GT(ref.summary.iterations, 1u) << name;
+    for (int threads : {1, 2, 8}) {
+      omp_set_num_threads(threads);
+      for (AdvanceStrategy s :
+           {AdvanceStrategy::kThreadFine, AdvanceStrategy::kTwc,
+            AdvanceStrategy::kLoadBalanced, AdvanceStrategy::kAuto}) {
+        QueryOptions opts;
+        opts.strategy = s;
+        simt::Device dev;
+        const CcResult run = Engine(dev, g).cc(opts);
+        const std::string at = std::string(name) + ", " +
+                               std::to_string(threads) + " threads, " +
+                               to_string(s);
+        EXPECT_EQ(run.component, oracle) << at;
+        EXPECT_EQ(run.summary.iterations, ref.summary.iterations) << at;
+        EXPECT_EQ(run.summary.edges_processed, ref.summary.edges_processed)
+            << at;
+        EXPECT_EQ(run.summary.counters.kernel_launches,
+                  ref.summary.counters.kernel_launches)
+            << at;
+        EXPECT_EQ(run.summary.device_time_ms, ref.summary.device_time_ms)
+            << at;
+      }
     }
   }
 }

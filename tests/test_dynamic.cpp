@@ -571,18 +571,20 @@ TEST(DynamicServer, PagerankIsOracleExactAcrossEpochs) {
   EXPECT_EQ(r.rank, serial::pagerank(ref.to_csr(), 0.85, 20));
 }
 
-TEST(DynamicServer, PagerankNeedsASymmetricGraph) {
-  // PageRank gathers over in-edges and a server holds no transpose, so a
-  // directed graph is refused in the submitting thread — on a static
+TEST(DynamicServer, CcAndPagerankNeedASymmetricGraph) {
+  // CC and PageRank gather over in-edges and a server holds no transpose,
+  // so a directed graph is refused in the submitting thread — on a static
   // server and on a dynamic one without the symmetric option.
   const Csr directed = build_csr(rmat(7, 8, 3));
   ASSERT_FALSE(is_symmetric(directed));
   Server fixed(directed, {});
   EXPECT_THROW(fixed.submit_pagerank(), CheckError);
+  EXPECT_THROW(fixed.submit_cc(), CheckError);
 
   DynamicGraph dyn(grx::testing::power_law_serving_graph(7));
   Server live(dyn, {});
   EXPECT_THROW(live.submit_pagerank(), CheckError);
+  EXPECT_THROW(live.submit_cc(), CheckError);
 }
 
 TEST(DynamicGraph, SymmetricOptionRejectsDirectedBase) {

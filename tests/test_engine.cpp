@@ -123,14 +123,19 @@ TEST(EngineSteadyState, BcAllocFree) {
 }
 
 TEST(EngineSteadyState, CcAllocFree) {
-  const Csr& g = serving_graph();
-  simt::Device dev;
-  Engine eng(dev, g);
-  CcResult r;
-  eng.cc(r);
-  eng.cc(r);
-  EXPECT_EQ(allocations_during([&] { eng.cc(r); }), 0u);
-  EXPECT_GT(r.num_components, 0u);
+  // The power-law serving graph and a low-degree road graph, whose rounds
+  // run long pointer-jumping chains.
+  const Csr road = build_dataset("roadnet-s", /*shrink=*/3);
+  for (const Csr* g : {&serving_graph(), &road}) {
+    simt::Device dev;
+    Engine eng(dev, *g);
+    CcResult r;
+    eng.cc(r);
+    eng.cc(r);
+    EXPECT_EQ(allocations_during([&] { eng.cc(r); }), 0u)
+        << g->num_vertices() << " vertices";
+    EXPECT_GT(r.num_components, 0u) << g->num_vertices() << " vertices";
+  }
 }
 
 TEST(EngineSteadyState, PagerankAllocFree) {
